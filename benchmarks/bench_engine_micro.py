@@ -1,18 +1,18 @@
 """Engine micro-benchmarks: the substrate operations on the hot paths of
 the PDM workload (parse, point lookup, navigational child fetch,
-recursive fixpoint, bulk insert) plus the row-vs-columnar executor
-micro-suite behind the perf-trajectory baseline.
+recursive fixpoint, bulk insert) plus the rule-vs-cost planner
+comparison.
 
-Two entry points share the same workload definitions:
+Two entry points:
 
-* under pytest (the tier-1 suite), the ``test_bench_*`` functions run
-  through pytest-benchmark as before;
+* under pytest, the ``test_bench_*`` functions run through
+  pytest-benchmark;
 * as a script — ``python benchmarks/bench_engine_micro.py [--smoke]
-  [--json PATH]`` — :func:`run_micro` times every executor shape at the
-  requested table sizes in both execution modes, verifies the results
-  are identical (the row executor is the oracle), and reports wall time,
-  rows/sec and the columnar speedup.  The CI perf-smoke job uses this
-  mode, so the pytest import is optional here.
+  [--json PATH]`` — :func:`run_planner_modes` times every micro shape
+  under the rule-based and the cost-based (post-ANALYZE) planner,
+  verifies the answers are identical, and fails when the costed planner
+  is more than :data:`PLANNER_MODE_MAX_RATIO` slower.  The CI perf-smoke
+  job uses this mode, so the pytest import is optional here.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ except ImportError:  # CI perf-smoke image has no pytest; script mode only.
 from repro.sqldb import Database
 
 # ---------------------------------------------------------------------------
-# Row-vs-columnar executor micro-suite.
+# Rule-vs-cost planner micro-suite.
 # ---------------------------------------------------------------------------
 
 #: Shape name -> (sql, params).  ``?`` thresholds are fixed so the
-#: selectivity stays constant across table sizes (``v`` cycles 0..199).
-#: The join probes ``dim.k``, deliberately *not* indexed, so the planner
-#: picks the hash join both executors implement — an indexed right side
-#: would turn it into an IndexNestedLoopJoin and a whole-plan fallback.
-MICRO_SHAPES = {
+#: selectivity stays the same whatever the table size (``v`` cycles
+#: 0..199).  The join probes ``dim.k``, deliberately *not* indexed, so
+#: both planners hash-join.  ``point_and`` has two competing access
+#: paths: the unique pk on ``id`` and the non-unique ``t_v`` index (200
+#: distinct values), so the costed planner has a real choice.
+PLANNER_MODE_SHAPES = {
     "scan_filter": ("SELECT a, b FROM t WHERE v < ?", (100,)),
     "narrow_and": ("SELECT id FROM t WHERE v < ? AND b < ?", (100, 500)),
     "project_arith": ("SELECT a + b, v * 2 FROM t WHERE v >= ?", (0,)),
@@ -53,19 +54,11 @@ MICRO_SHAPES = {
         (100,),
     ),
     "aggregate": ("SELECT v, COUNT(*), SUM(a) FROM t GROUP BY v", ()),
-}
-
-MICRO_SIZES = (10_000, 100_000)
-SMOKE_SIZES = (10_000,)
-
-#: Extra shapes for the planner-mode comparison only — they plan through
-#: index lookups, so they must stay out of MICRO_SHAPES (whose columnar
-#: runs assert no whole-plan fallback).  ``point_and`` has two competing
-#: access paths: the unique pk on ``id`` and the non-unique ``t_v`` index
-#: (200 distinct values), so the costed planner has a real choice.
-PLANNER_MODE_EXTRA_SHAPES = {
     "point_and": ("SELECT a FROM t WHERE v = ? AND id = ?", (7, 7)),
 }
+
+#: Table size of the planner-mode comparison.
+PLANNER_MODE_ROWS = 10_000
 
 #: The costed planner may not be slower than the rule-based planner by
 #: more than this factor on any micro shape (plans only differ where the
@@ -79,9 +72,9 @@ PLANNER_MODE_NOISE_FLOOR_S = 0.001
 
 def build_micro_db(size: int, planner_mode: str = "cost") -> Database:
     """A deterministic fact/dim pair; values are formulaic, not random,
-    so every run (and both executors) sees byte-identical data.  The
-    ``t_v`` index is never usable by the MICRO_SHAPES range predicates —
-    it exists for the planner-mode shapes, which probe it by equality."""
+    so every run (and both planners) sees byte-identical data.  The
+    ``t_v`` index is never usable by the range predicates — it exists
+    for ``point_and``, which probes it by equality."""
     db = Database(planner_mode=planner_mode)
     db.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, v INTEGER)"
@@ -98,53 +91,18 @@ def build_micro_db(size: int, planner_mode: str = "cost") -> Database:
     return db
 
 
-def _best_of(db: Database, sql: str, params, mode: str, repeats: int) -> float:
+def _best_of(db: Database, sql: str, params, repeats: int) -> float:
     best = float("inf")
     for __ in range(repeats):
         start = time.perf_counter()
-        db.execute(sql, params, mode=mode)
+        db.execute(sql, params)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def run_micro(sizes=MICRO_SIZES, repeats: int = 3) -> dict:
-    """Time every shape at every size in both modes.
-
-    Returns ``{"shape@size": {...}}`` with per-mode wall seconds,
-    throughput, and the columnar speedup.  Raises ``AssertionError`` if
-    the two executors ever disagree on a result — a benchmark that
-    returns wrong rows measures nothing.
-    """
-    results = {}
-    for size in sizes:
-        db = build_micro_db(size)
-        for shape, (sql, params) in MICRO_SHAPES.items():
-            row_result = db.execute(sql, params, mode="row")
-            columnar_result = db.execute(sql, params, mode="columnar")
-            assert columnar_result.rows == row_result.rows, (
-                f"{shape}@{size}: executors disagree"
-            )
-            assert db.last_executor == "columnar", (
-                f"{shape}@{size}: unexpected fallback ({db.last_executor})"
-            )
-            row_s = _best_of(db, sql, params, "row", repeats)
-            columnar_s = _best_of(db, sql, params, "columnar", repeats)
-            results[f"{shape}@{size}"] = {
-                "shape": shape,
-                "table_rows": size,
-                "rows_returned": len(row_result.rows),
-                "row_s": row_s,
-                "columnar_s": columnar_s,
-                "row_rows_per_s": size / row_s,
-                "columnar_rows_per_s": size / columnar_s,
-                "speedup": row_s / columnar_s,
-            }
-    return results
-
-
-def run_planner_modes(size: int = 10_000, repeats: int = 3) -> dict:
+def run_planner_modes(size: int = PLANNER_MODE_ROWS, repeats: int = 3) -> dict:
     """Rule-based vs cost-based (post-ANALYZE) planner over the micro
-    shapes plus the planner-only extras.
+    shapes.
 
     Both databases hold byte-identical data; the results must agree
     exactly (plans may differ, answers may not).  Returns per-shape wall
@@ -154,17 +112,15 @@ def run_planner_modes(size: int = 10_000, repeats: int = 3) -> dict:
     rule_db = build_micro_db(size, planner_mode="rule")
     cost_db = build_micro_db(size, planner_mode="cost")
     cost_db.execute("ANALYZE")
-    shapes = dict(MICRO_SHAPES)
-    shapes.update(PLANNER_MODE_EXTRA_SHAPES)
     results = {}
-    for shape, (sql, params) in shapes.items():
-        rule_result = rule_db.execute(sql, params, mode="row")
-        cost_result = cost_db.execute(sql, params, mode="row")
+    for shape, (sql, params) in PLANNER_MODE_SHAPES.items():
+        rule_result = rule_db.execute(sql, params)
+        cost_result = cost_db.execute(sql, params)
         assert cost_result.rows == rule_result.rows, (
             f"{shape}@{size}: planner modes disagree on the result"
         )
-        rule_s = _best_of(rule_db, sql, params, "row", repeats)
-        cost_s = _best_of(cost_db, sql, params, "row", repeats)
+        rule_s = _best_of(rule_db, sql, params, repeats)
+        cost_s = _best_of(cost_db, sql, params, repeats)
         results[shape] = {
             "shape": shape,
             "table_rows": size,
@@ -210,59 +166,29 @@ def format_planner_modes(results: dict) -> str:
     return "\n".join(lines)
 
 
-def format_micro(results: dict) -> str:
-    lines = [
-        f"{'shape':<24s} {'rows':>8s} {'row ms':>9s} {'col ms':>9s} "
-        f"{'col Mrows/s':>12s} {'speedup':>8s}"
-    ]
-    for name, entry in results.items():
-        lines.append(
-            f"{name:<24s} {entry['table_rows']:>8d} "
-            f"{entry['row_s'] * 1000:>9.1f} {entry['columnar_s'] * 1000:>9.1f} "
-            f"{entry['columnar_rows_per_s'] / 1e6:>12.2f} "
-            f"{entry['speedup']:>7.1f}x"
-        )
-    return "\n".join(lines)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="10k rows only, fewer repeats — for CI",
+        help="fewer repeats — for CI",
     )
     parser.add_argument(
         "--json", metavar="PATH", help="write the per-shape results to PATH"
     )
     args = parser.parse_args(argv)
-    repeats = 2 if args.smoke else 3
-    results = run_micro(
-        sizes=SMOKE_SIZES if args.smoke else MICRO_SIZES,
-        repeats=repeats,
-    )
-    print(format_micro(results))
-    planner_modes = run_planner_modes(size=SMOKE_SIZES[0], repeats=repeats)
-    print("\nplanner modes (rule vs cost-based after ANALYZE):")
+    planner_modes = run_planner_modes(repeats=2 if args.smoke else 3)
+    print("planner modes (rule vs cost-based after ANALYZE):")
     print(format_planner_modes(planner_modes))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(
-                {"micro": results, "planner_modes": planner_modes},
-                handle,
-                indent=2,
-                sort_keys=True,
+                {"planner_modes": planner_modes}, handle, indent=2, sort_keys=True
             )
         print(f"wrote {args.json}")
-    # Coarse CI gates: on the scan/filter shapes the vectorized executor
-    # was built for, columnar must at least break even with row mode; and
-    # the costed planner must stay within 2x of the rule-based planner.
-    failures = [
-        f"{name}: columnar slower than row ({entry['speedup']:.2f}x)"
-        for name, entry in results.items()
-        if entry["shape"] in ("scan_filter", "narrow_and") and entry["speedup"] < 1.0
-    ]
-    failures.extend(planner_mode_failures(planner_modes))
+    # Coarse CI gate: the costed planner must stay within 2x of the
+    # rule-based planner.
+    failures = planner_mode_failures(planner_modes)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -288,10 +214,6 @@ if pytest is not None:
             TreeParameters(depth=6, branching=3, visibility=0.6), WAN_256, seed=5
         )
         return scenario.database, scenario.product
-
-    @pytest.fixture(scope="module")
-    def micro_db():
-        return build_micro_db(10_000)
 
     RECURSIVE_SQL = render_select(
         QueryModificator(RuleTable(), "scott", {})
@@ -356,26 +278,6 @@ if pytest is not None:
             return db.execute(
                 "SELECT state, COUNT(*), AVG(weight) FROM comp GROUP BY state"
             )
-
-        result = benchmark(run)
-        assert result.rows
-
-    @pytest.mark.parametrize("mode", ["row", "columnar"])
-    def test_bench_scan_filter_by_mode(benchmark, micro_db, mode):
-        sql, params = MICRO_SHAPES["scan_filter"]
-
-        def run():
-            return micro_db.execute(sql, params, mode=mode)
-
-        result = benchmark(run)
-        assert len(result) == 5000
-
-    @pytest.mark.parametrize("mode", ["row", "columnar"])
-    def test_bench_hash_join_by_mode(benchmark, micro_db, mode):
-        sql, params = MICRO_SHAPES["hash_join"]
-
-        def run():
-            return micro_db.execute(sql, params, mode=mode)
 
         result = benchmark(run)
         assert result.rows

@@ -351,9 +351,13 @@ class RemoteConnection:
     def server_stats(self) -> Dict[str, Any]:
         """Fetch the server's counter dictionary (one round trip).
 
-        Includes the database-level counters prefixed ``db_`` —
-        ``db_statements``, ``db_plan_cache_hits``, ``db_rows_returned`` —
-        so plan-cache efficacy is observable per experiment.
+        Includes every database-level counter prefixed ``db_``:
+        ``db_statements``, ``db_plan_cache_hits`` and ``db_rows_returned``
+        (plan-cache efficacy per experiment), the MVCC counters
+        ``db_snapshot_reads``, ``db_versions_created``, ``db_versions_gc``
+        and ``db_readonly_txns`` (zero without MVCC), and
+        ``db_auto_analyze``.  A WAL-backed server adds ``wal_appends``,
+        ``wal_commits`` and ``wal_aborts``.
         """
         self._ensure_open()
         request = protocol.encode_envelope(Opcode.STATS)

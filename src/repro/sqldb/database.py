@@ -36,7 +36,6 @@ from repro.sqldb.parser import parse_script, parse_statement
 from repro.sqldb.planner import Plan, Planner
 from repro.sqldb.recursive import execute_plan
 from repro.sqldb.result import ResultSet
-from repro.sqldb.vec_executor import vec_execute, vectorized_root
 from repro.sqldb.schema import Catalog, Column, TableSchema
 from repro.sqldb.stats import StatsCatalog
 from repro.sqldb.storage import TableStorage
@@ -83,15 +82,10 @@ class Database:
     'two'
     """
 
-    #: Valid executor modes: ``row`` is the iterator oracle, ``columnar``
-    #: runs vectorizable plans batch-at-a-time (others fall back to row).
-    EXECUTION_MODES = ("row", "columnar")
-
     def __init__(
         self,
         plan_cache_size: int = 512,
         recursion_limit: int = 1_000_000,
-        execution_mode: str = "row",
         planner_mode: str = "cost",
         mvcc: bool = False,
         auto_analyze_threshold: int = 256,
@@ -123,8 +117,6 @@ class Database:
             "statements": 0,
             "plan_cache_hits": 0,
             "rows_returned": 0,
-            "columnar_statements": 0,
-            "columnar_fallbacks": 0,
             "snapshot_reads": 0,
             "versions_created": 0,
             "versions_gc": 0,
@@ -145,12 +137,6 @@ class Database:
         #: ANALYZEd database stays statistics-free (and deterministic).
         #: <= 0 disables the trigger.
         self.auto_analyze_threshold = auto_analyze_threshold
-        #: Default executor for SELECTs; per-query ``mode=`` overrides it.
-        self.execution_mode = self._validate_mode(execution_mode)
-        #: Which executor ran the most recent SELECT: ``"row"``,
-        #: ``"columnar"`` or ``"row (columnar fallback: <reason>)"``.
-        #: None until a SELECT has run (DML resets it).
-        self.last_executor: Optional[str] = None
         #: Ablation switch threaded into every execution environment
         #: (paper Section 5.3.1 — uncorrelated subquery caching).
         self.enable_subquery_cache = True
@@ -201,7 +187,6 @@ class Database:
         sql: str,
         params: Sequence[Any] = (),
         session: Hashable = None,
-        mode: Optional[str] = None,
     ) -> ResultSet:
         """Parse, plan and execute a single statement.
 
@@ -210,9 +195,6 @@ class Database:
         session whose transaction was force-aborted (deadlock victim)
         raises :class:`DeadlockError` so the owner learns about the abort
         and can restart.
-
-        *mode* overrides the database's ``execution_mode`` for this one
-        statement (``"row"`` or ``"columnar"``); DML ignores it.
         """
         previous = self._current_session
         self._current_session = session
@@ -220,29 +202,24 @@ class Database:
             self._check_aborted(session)
             recorder = self.recorder
             if recorder is None:
-                return self._execute(sql, params, mode=mode)
+                return self._execute(sql, params)
             with recorder.span(
                 "db.execute",
                 kind="database",
                 sql=sql if isinstance(sql, str) else type(sql).__name__,
             ) as span:
-                result = self._execute(sql, params, span, mode=mode)
+                result = self._execute(sql, params, span)
                 span.meta["rows"] = len(result.rows)
-                if self.last_executor is not None:
-                    span.meta["executor"] = self.last_executor
                 return result
         finally:
             self._current_session = previous
 
-    def _execute(
-        self, sql: str, params: Sequence[Any], span=None, mode: Optional[str] = None
-    ) -> ResultSet:
+    def _execute(self, sql: str, params: Sequence[Any], span=None) -> ResultSet:
         self.statistics["statements"] += 1
         #: A DML statement scans nothing through the executor counters, so
         #: reset here — a server CPU model must never be charged for a
         #: previous statement's stale scan counts.
         self.last_counters = {}
-        self.last_executor = None
         statement = None
         if isinstance(sql, str):
             cached = self._plan_cache.get(sql)
@@ -251,7 +228,7 @@ class Database:
                 self._plan_cache.move_to_end(sql)
                 if span is not None:
                     span.meta["plan_cache_hit"] = True
-                return self._run_select(cached, params, mode)
+                return self._run_select(cached, params)
             # A refreshed statistics catalog emptied the plan cache: fall
             # through and re-plan under the new estimates.
             statement = parse_statement(sql)
@@ -262,8 +239,8 @@ class Database:
             plan = self._plan(statement)
             if isinstance(sql, str):
                 self._remember_plan(sql, plan)
-            return self._run_select(plan, params, mode)
-        return self._execute_dml(statement, params, mode)
+            return self._run_select(plan, params)
+        return self._execute_dml(statement, params)
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> int:
         """Execute a parameterised DML statement once per parameter row.
@@ -743,73 +720,32 @@ class Database:
         env.snapshot = self._current_snapshot()
         return env
 
-    def _validate_mode(self, mode: str) -> str:
-        if mode not in self.EXECUTION_MODES:
-            raise ExecutionError(
-                f"unknown execution mode {mode!r}; "
-                f"expected one of {', '.join(self.EXECUTION_MODES)}"
-            )
-        return mode
+    @contextmanager
+    def _read_scope(self, tables: Tuple[str, ...]):
+        """Isolation scope of one read of *tables*.
 
-    def _resolve_mode(self, mode: Optional[str]) -> str:
-        if mode is None:
-            return self.execution_mode
-        return self._validate_mode(mode)
-
-    def _run_select(
-        self, plan: Plan, params: Sequence[Any], mode: Optional[str] = None
-    ) -> ResultSet:
-        resolved = self._resolve_mode(mode)
+        A read-only transaction on an MVCC database reads its snapshot:
+        visibility replaces shared locks entirely — no lock scope, no
+        waits, no deadlock exposure.  Every other read takes shared locks
+        on *tables* (held to commit inside a transaction, strict 2PL).
+        """
         if self._current_snapshot() is not None:
-            # Snapshot read: visibility replaces shared locks entirely —
-            # no lock scope, no waits, no deadlock exposure.
             self.statistics["snapshot_reads"] += 1
             if self.recorder is not None:
                 self.recorder.metrics.counter("db.snapshot_reads").inc()
+            yield
+            return
+        with self._lock_scope() as (owner, parkable):
+            self._lock_tables_shared(owner, parkable, tables)
+            yield
+
+    def _run_select(self, plan: Plan, params: Sequence[Any]) -> ResultSet:
+        with self._read_scope(plan.tables):
             env = self._environment(params)
-            if resolved == "columnar":
-                rows = self._run_columnar(plan, env)
-            else:
-                self.last_executor = "row"
-                rows = execute_plan(plan, env)
-        else:
-            with self._lock_scope() as (owner, parkable):
-                self._lock_tables_shared(owner, parkable, plan.tables)
-                env = self._environment(params)
-                if resolved == "columnar":
-                    rows = self._run_columnar(plan, env)
-                else:
-                    self.last_executor = "row"
-                    rows = execute_plan(plan, env)
+            rows = execute_plan(plan, env)
         self.statistics["rows_returned"] += len(rows)
         self.last_counters = dict(env.counters)
         return ResultSet(plan.output_names, rows)
-
-    def _run_columnar(self, plan: Plan, env: ExecutionEnv) -> List[Tuple[Any, ...]]:
-        """Execute through the batch pipeline, or fall back whole-plan.
-
-        The fallback keeps semantics single-sourced: a plan either runs
-        entirely vectorized or entirely through the row executor — never a
-        mix at operator granularity.
-        """
-        root, reason = vectorized_root(plan)
-        recorder = self.recorder
-        if root is None:
-            self.statistics["columnar_fallbacks"] += 1
-            self.last_executor = f"row (columnar fallback: {reason})"
-            if recorder is not None:
-                recorder.metrics.counter("db.columnar_fallbacks").inc()
-            return execute_plan(plan, env)
-        self.statistics["columnar_statements"] += 1
-        self.last_executor = "columnar"
-        rows = vec_execute(root, env)
-        if recorder is not None:
-            recorder.metrics.counter("db.columnar_executions").inc()
-            recorder.metrics.counter("db.vec_batches").inc(
-                env.counters["vec_batches"]
-            )
-            recorder.metrics.counter("db.vec_rows").inc(env.counters["vec_rows"])
-        return rows
 
     # -- DML / DDL ----------------------------------------------------------------
 
@@ -823,9 +759,7 @@ class Database:
         ast.DropView,
     )
 
-    def _execute_dml(
-        self, statement, params: Sequence[Any], mode: Optional[str] = None
-    ) -> ResultSet:
+    def _execute_dml(self, statement, params: Sequence[Any]) -> ResultSet:
         if self.session_in_transaction(self._current_session) and isinstance(
             statement, self._DDL_STATEMENTS
         ):
@@ -897,9 +831,11 @@ class Database:
             plan = self._plan(statement.statement)
             if statement.analyze:
                 # EXPLAIN ANALYZE plans are never cached, so the operator
-                # instances are fresh and safe to instrument in place.
-                env = self._environment(params)
-                lines = explain_analyze_plan(plan, env, mode=self._resolve_mode(mode))
+                # instances are fresh and safe to instrument in place.  The
+                # plan runs, so it reads under the same isolation as SELECT.
+                with self._read_scope(plan.tables):
+                    env = self._environment(params)
+                    lines = explain_analyze_plan(plan, env)
             else:
                 lines = explain_plan(plan)
             return ResultSet(["plan"], [(line,) for line in lines])

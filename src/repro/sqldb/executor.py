@@ -55,10 +55,6 @@ class ExecutionEnv:
             "rows_scanned": 0,
             "subquery_executions": 0,
             "index_probes": 0,
-            # Columnar executor: batches emitted / rows carried by them.
-            # Stay 0 for row-mode executions.
-            "vec_batches": 0,
-            "vec_rows": 0,
         }
         #: When False, uncorrelated subqueries are re-evaluated every time —
         #: the "no intelligent optimizer" ablation (paper Section 5.3.1).

@@ -41,7 +41,7 @@ def explain_plan(plan: Plan) -> List[str]:
     return lines
 
 
-def explain_analyze_plan(plan: Plan, env, mode: str = "row") -> List[str]:
+def explain_analyze_plan(plan: Plan, env) -> List[str]:
     """Execute *plan* in *env* and render it with runtime statistics.
 
     Every operator's ``rows`` generator is wrapped with a per-instance
@@ -50,24 +50,10 @@ def explain_analyze_plan(plan: Plan, env, mode: str = "row") -> List[str]:
     produced; an operator the execution never pulled from is marked
     ``(never executed)``.  The plan must be freshly built — EXPLAIN
     ANALYZE statements bypass the plan cache, so the instrumented
-    operator instances are discarded with the plan.
-
-    With ``mode="columnar"`` and a vectorizable plan, the batch pipeline
-    runs instead and every line carries per-operator batch/row counts; a
-    non-vectorizable plan falls back to the row rendering, labelled with
-    the fallback reason.  The trailing ``Executor:`` line always states
-    which executor actually ran.
+    operator instances are discarded with the plan.  The caller holds
+    the same shared locks (or snapshot) a plain SELECT would.
     """
     from repro.sqldb.recursive import execute_plan
-    from repro.sqldb.vec_executor import vectorized_root
-
-    executor_line = "Executor: row"
-    if mode == "columnar":
-        root, reason = vectorized_root(plan)
-        if root is None:
-            executor_line = f"Executor: row (columnar fallback: {reason})"
-        else:
-            return _explain_analyze_columnar(root, env)
 
     stats = {}
     for operator in _all_operators(plan):
@@ -99,115 +85,8 @@ def explain_analyze_plan(plan: Plan, env, mode: str = "row") -> List[str]:
         lines.extend(_explain_cte(cte, annotate))
     lines.extend(_explain_operator(plan.root, 0, annotate))
     lines.append(f"Execution: {len(rows)} row(s) returned")
-    lines.append(executor_line)
     for name in ("rows_scanned", "index_probes", "subquery_executions"):
         lines.append(f"  {name}: {env.counters.get(name, 0)}")
-    return lines
-
-
-def _explain_analyze_columnar(root, env) -> List[str]:
-    """Run the batch pipeline with per-operator counting shims."""
-    from repro.sqldb.vec_executor import vec_execute
-
-    stats = {}
-    for operator in _vec_operators(root):
-        if id(operator) in stats:
-            continue
-        record = stats[id(operator)] = {"loops": 0, "batches": 0, "rows": 0}
-        original = operator.batches
-
-        def counting_batches(env, _original=original, _record=record):
-            _record["loops"] += 1
-            for batch in _original(env):
-                _record["batches"] += 1
-                _record["rows"] += batch.length
-                yield batch
-
-        operator.batches = counting_batches
-
-    rows = vec_execute(root, env)
-
-    def annotate(operator) -> str:
-        record = stats.get(id(operator))
-        if record is None or record["loops"] == 0:
-            return " (never executed)"
-        return f" (batches={record['batches']} rows={record['rows']})"
-
-    lines = _explain_vec_operator(root, 0, annotate)
-    lines.append(f"Execution: {len(rows)} row(s) returned")
-    lines.append("Executor: columnar")
-    for name in (
-        "rows_scanned",
-        "index_probes",
-        "subquery_executions",
-        "vec_batches",
-        "vec_rows",
-    ):
-        lines.append(f"  {name}: {env.counters.get(name, 0)}")
-    return lines
-
-
-def _vec_operators(root) -> List[object]:
-    """Every vectorized operator instance under *root*."""
-    operators: List[object] = []
-
-    def walk(operator) -> None:
-        operators.append(operator)
-        for child in _vec_children(operator):
-            walk(child)
-
-    walk(root)
-    return operators
-
-
-def _vec_children(operator) -> List[object]:
-    from repro.sqldb.vec_executor import VecOperator, VecUnionAll
-
-    if isinstance(operator, VecUnionAll):
-        return list(operator.children)
-    children: List[object] = []
-    for attribute in ("child", "left", "right"):
-        value = getattr(operator, attribute, None)
-        if isinstance(value, VecOperator):
-            children.append(value)
-    return children
-
-
-def _vec_label(operator) -> str:
-    from repro.sqldb import vec_executor as vec
-
-    if isinstance(operator, vec.VecSeqScan):
-        return f"VecSeqScan({operator.storage.schema.name})"
-    if isinstance(operator, vec.VecRowsSource):
-        return "VecValues"
-    if isinstance(operator, vec.VecFilter):
-        return "VecFilter"
-    if isinstance(operator, vec.VecProject):
-        return f"VecProject({', '.join(operator.output_names)})"
-    if isinstance(operator, vec.VecHashJoin):
-        return f"VecHashJoin({len(operator.left_kernels)} key(s))"
-    if isinstance(operator, vec.VecAggregate):
-        return (
-            f"VecAggregate({len(operator.group_kernels)} group key(s), "
-            f"{len(operator.aggregates)} aggregate(s))"
-        )
-    if isinstance(operator, vec.VecSort):
-        return f"VecSort({len(operator.keys)} key(s))"
-    if isinstance(operator, vec.VecDistinct):
-        return "VecDistinct"
-    if isinstance(operator, vec.VecUnionAll):
-        return "VecUnionAll"
-    if isinstance(operator, vec.VecLimit):
-        return "VecLimit"
-    if isinstance(operator, vec.VecOffset):
-        return "VecOffset"
-    return type(operator).__name__
-
-
-def _explain_vec_operator(operator, depth: int, annotate) -> List[str]:
-    lines = ["  " * depth + "-> " + _vec_label(operator) + annotate(operator)]
-    for child in _vec_children(operator):
-        lines.extend(_explain_vec_operator(child, depth + 1, annotate))
     return lines
 
 

@@ -106,12 +106,6 @@ class Plan:
     #: shared locks.  Stored on the plan so the plan-cache fast path can
     #: lock without re-parsing.
     tables: Tuple[str, ...] = ()
-    #: Lazily computed vectorization of this plan: ``(vec_root, reason)``
-    #: where ``vec_root`` is the columnar operator tree (None when the plan
-    #: cannot be vectorized, with ``reason`` saying why).  Filled by
-    #: :func:`repro.sqldb.vec_executor.vectorized_root` on first columnar
-    #: execution; safe to cache because plans are immutable after build.
-    vec_cache: Optional[Tuple[Optional[object], str]] = None
 
 
 class CompiledSubquery:

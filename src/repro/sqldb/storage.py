@@ -85,8 +85,8 @@ class TableStorage:
         #: an abort is logged as one ABORT record, not as compensation.
         self._journal = None
         #: Mutation counter: bumped by every insert/update/delete/restore.
-        #: Derived caches (the columnar chunk cache) key on it to detect
-        #: staleness without hooking every mutation path individually.
+        #: Auto-ANALYZE compares it with the version its statistics were
+        #: collected at, without hooking every mutation path individually.
         self.version = 0
         #: MVCC version store (``repro.sqldb.mvcc.VersionStore``) when the
         #: owning database runs with snapshot reads; None otherwise.  The

@@ -204,33 +204,3 @@ class TestCrashTails:
             recovered.execute("UPDATE t SET v = 77 WHERE id = 2")
         again = durability.recover()
         assert again.execute("SELECT v FROM t WHERE id = 2").scalar() == 77
-
-
-class TestColumnarCacheAcrossRecovery:
-    def test_no_pre_crash_chunks_served_after_recovery(self):
-        durability = Durability(
-            SimDisk(), db_kwargs={"execution_mode": "columnar"}
-        )
-        db = durability.open()
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-        db.executemany(
-            "INSERT INTO t VALUES (?, ?)", [(i, i) for i in range(50)]
-        )
-        # Populate the chunk cache with a columnar scan, then mutate
-        # inside a committed transaction.
-        assert db.execute("SELECT COUNT(*) FROM t WHERE v >= 0").scalar() == 50
-        assert db.last_executor == "columnar"
-        old_storage = db.catalog.lookup("t").storage
-        assert getattr(old_storage, "_columnar_cache", None) is not None
-        with db.transaction():
-            db.execute("UPDATE t SET v = -1 WHERE id < 10")
-        recovered = durability.recover()
-        # Recovery builds fresh storages: the pre-crash cache object is
-        # unreachable from the new database, so no stale batch can be
-        # served.
-        new_storage = recovered.catalog.lookup("t").storage
-        assert new_storage is not old_storage
-        assert getattr(new_storage, "_columnar_cache", None) is None
-        result = recovered.execute("SELECT COUNT(*) FROM t WHERE v >= 0")
-        assert result.scalar() == 40
-        assert recovered.last_executor == "columnar"

@@ -98,10 +98,7 @@ class TestInListDedup:
 
     def test_deduped_plan_returns_each_row_once(self, db):
         sql = "SELECT id FROM s WHERE id IN (1, 1, 2) ORDER BY id"
-        row_rows = db.execute(sql, mode="row").rows
-        columnar_rows = db.execute(sql, mode="columnar").rows
-        assert row_rows == [(1,), (2,)]
-        assert columnar_rows == row_rows
+        assert db.execute(sql).rows == [(1,), (2,)]
 
     def test_duplicate_parameters_still_runtime_deduplicated(self, db):
         text = plan_text(db, "SELECT id FROM s WHERE id IN (?, ?)", (2, 2))

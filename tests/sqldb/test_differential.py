@@ -1,14 +1,14 @@
-"""Differential row-oracle tests: columnar == row, query by query.
+"""Differential planner tests: rule planner == cost planner, query by query.
 
-The row executor is the semantics oracle for the vectorized pipeline.
-Every query in the shared corpus — the 25-template ``repro.analysis``
-corpus (the statements the PDM layer actually emits) plus an
-engine-level corpus covering each vectorizable operator — runs through
-both executors and must produce *identical ordered* results: same
-columns, same rows, same order.  A query that raises must raise an
-:class:`~repro.errors.SQLError` subclass in both modes (the exact
-subclass and message may differ when column-at-a-time evaluation meets
-an error on a different row first; see DESIGN.md §10).
+Two databases hold identical data; one plans rule-based
+(``planner_mode="rule"``), the other cost-based with fresh ``ANALYZE``
+statistics.  Every query in the shared corpus — the 25-template
+``repro.analysis`` corpus (the statements the PDM layer actually emits)
+plus an engine-level corpus covering each operator — runs on both and
+must produce the same columns and rows: as an ordered list when the
+query has a top-level ``ORDER BY``, as a multiset otherwise (a cost
+plan may legitimately scan or join in another order).  A query that
+raises must raise an :class:`~repro.errors.SQLError` subclass on both.
 
 A hypothesis-driven test generates random filters/projections over a
 seeded table so the corpus is not limited to shapes we thought of.
@@ -17,44 +17,63 @@ seeded table so the corpus is not limited to shapes we thought of.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SQLError
+from repro.pdm.generator import figure2_dataset
+from repro.pdm.schema import create_pdm_schema, load_product
 from repro.sqldb.database import Database
+from repro.sqldb.parser import parse_statement
 
 
-def run_differential(db: Database, sql: str, params=()):
-    """Run *sql* in both modes; assert the oracle contract; return rows.
+def run_differential(pair, sql: str, params=()):
+    """Run *sql* on both planners; assert the contract; return rows.
 
-    Either both executors succeed with identical ordered results, or
-    both raise an ``SQLError``.
+    Either both succeed with the same answer, or both raise an
+    ``SQLError``.  *pair* is ``(rule_db, cost_db)``.
     """
-    row_error = columnar_error = None
-    row_result = columnar_result = None
+    rule_db, cost_db = pair
+    rule_error = cost_error = None
+    rule_result = cost_result = None
     try:
-        row_result = db.execute(sql, params, mode="row")
+        rule_result = rule_db.execute(sql, params)
     except SQLError as exc:
-        row_error = exc
+        rule_error = exc
     try:
-        columnar_result = db.execute(sql, params, mode="columnar")
+        cost_result = cost_db.execute(sql, params)
     except SQLError as exc:
-        columnar_error = exc
+        cost_error = exc
 
-    if row_error is not None or columnar_error is not None:
-        assert row_error is not None, (
-            f"columnar raised {columnar_error!r} but row succeeded: {sql}"
+    if rule_error is not None or cost_error is not None:
+        assert rule_error is not None, (
+            f"cost planner raised {cost_error!r} but rule succeeded: {sql}"
         )
-        assert columnar_error is not None, (
-            f"row raised {row_error!r} but columnar succeeded: {sql}"
+        assert cost_error is not None, (
+            f"rule planner raised {rule_error!r} but cost succeeded: {sql}"
         )
         return None
 
-    assert columnar_result.columns == row_result.columns, sql
-    assert columnar_result.rows == row_result.rows, sql
-    return row_result.rows
+    assert cost_result.columns == rule_result.columns, sql
+    if parse_statement(sql).order_by:
+        assert cost_result.rows == rule_result.rows, sql
+    else:
+        assert Counter(cost_result.rows) == Counter(rule_result.rows), sql
+    return rule_result.rows
+
+
+def planner_pair(load):
+    """``(rule_db, cost_db)`` both filled by *load*; the cost side is
+    ANALYZEd so its plans are priced from real statistics."""
+    rule_db = Database(planner_mode="rule")
+    cost_db = Database(planner_mode="cost")
+    load(rule_db)
+    load(cost_db)
+    cost_db.execute("ANALYZE")
+    return rule_db, cost_db
 
 
 def parameter_count(sql: str) -> int:
@@ -77,12 +96,22 @@ def pdm_select_templates():
     ]
 
 
+def load_figure2(db: Database) -> None:
+    create_pdm_schema(db)
+    load_product(db, figure2_dataset())
+
+
+@pytest.fixture(scope="module")
+def figure2_pair():
+    return planner_pair(load_figure2)
+
+
 @pytest.mark.parametrize(
     "name,sql", pdm_select_templates(), ids=[n for n, _ in pdm_select_templates()]
 )
-def test_pdm_template_corpus_differential(figure2_db, name, sql):
+def test_pdm_template_corpus_differential(figure2_pair, name, sql):
     params = tuple([1] * parameter_count(sql))  # Figure 2 root obid
-    run_differential(figure2_db, sql, params)
+    run_differential(figure2_pair, sql, params)
 
 
 def test_pdm_corpus_covers_every_template():
@@ -91,7 +120,7 @@ def test_pdm_corpus_covers_every_template():
 
 
 # ---------------------------------------------------------------------------
-# Engine-level corpus: one seeded table pair, every vectorizable shape.
+# Engine-level corpus: one seeded table pair, every operator shape.
 # ---------------------------------------------------------------------------
 
 ENGINE_CORPUS = [
@@ -136,21 +165,25 @@ ENGINE_CORPUS = [
     "SELECT id FROM t ORDER BY id LIMIT 7",
     "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 95",
     "SELECT v FROM t WHERE v < 3 UNION ALL SELECT k FROM dim WHERE k < 3",
-    # shapes that fall back to the row executor (fallback must be silent)
+    # index lookups, subqueries, derived tables, CTEs
     "SELECT v FROM t WHERE id = 4",  # primary-key index lookup
     "SELECT v, (SELECT MAX(k) FROM dim) FROM t WHERE v < 3",
     "SELECT x.id FROM (SELECT id FROM t WHERE v < 5) AS x",
     "WITH small AS (SELECT id, v FROM t WHERE v < 5) SELECT * FROM small",
+    # competing access paths and comma-join orders (cost side may differ)
+    "SELECT a FROM t WHERE v = 7 AND id = 7",
+    "SELECT id FROM t WHERE v = 7 AND b > 100",
+    "SELECT t.id, dim.label FROM t, dim WHERE t.v = dim.k AND dim.k = 4",
+    "SELECT t.id, dim.label FROM dim, t WHERE t.v = dim.k AND t.id < 20",
 ]
 
 
-@pytest.fixture(scope="module")
-def engine_db() -> Database:
-    db = Database()
+def load_engine(db: Database) -> None:
     db.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER,"
         " v INTEGER, n INTEGER, s VARCHAR(20))"
     )
+    db.execute("CREATE INDEX t_v ON t (v)")
     db.execute("CREATE TABLE dim (k INTEGER, label VARCHAR(20))")
     db.execute("CREATE TABLE empty (k INTEGER)")
     rows = [
@@ -161,27 +194,33 @@ def engine_db() -> Database:
     db.executemany(
         "INSERT INTO dim VALUES (?, ?)", [(k, f"label-{k}") for k in range(0, 50, 2)]
     )
-    return db
+
+
+@pytest.fixture(scope="module")
+def engine_pair():
+    return planner_pair(load_engine)
 
 
 @pytest.mark.parametrize("sql", ENGINE_CORPUS)
-def test_engine_corpus_differential(engine_db, sql):
-    run_differential(engine_db, sql)
+def test_engine_corpus_differential(engine_pair, sql):
+    run_differential(engine_pair, sql)
 
 
-def test_division_error_raises_in_both_modes(engine_db):
-    # Column-at-a-time evaluation may hit the failing row in a different
-    # order, but both executors must surface an SQLError.
-    assert run_differential(engine_db, "SELECT 10 / (v - v) FROM t") is None
-    assert run_differential(engine_db, "SELECT id FROM t WHERE 10 / n > 1") is None
+def test_division_error_raises_in_both_modes(engine_pair):
+    # Whatever access path either planner picks, a zero divisor reached
+    # by evaluation surfaces as an SQLError on both.
+    assert run_differential(engine_pair, "SELECT 10 / (v - v) FROM t") is None
+    assert run_differential(engine_pair, "SELECT id FROM t WHERE 10 / n > 1") is None
 
 
-def test_masked_conjunction_guards_division(engine_db):
-    # The AND kernel must not evaluate the right operand on rows the left
-    # already rejected — otherwise this guarded division would blow up on
-    # v = 0 rows in columnar mode only.
-    rows = run_differential(engine_db, "SELECT id FROM t WHERE v <> 0 AND 100 / v > 10")
+def test_masked_conjunction_guards_division(engine_pair):
+    # A decided left operand masks the right one: AND must not evaluate
+    # the division on v = 0 rows the left side already rejected, nor OR
+    # on rows the left side already accepted.
+    rows = run_differential(engine_pair, "SELECT id FROM t WHERE v <> 0 AND 100 / v > 10")
     assert rows  # the guard admits rows, it doesn't just mask errors
+    rows = run_differential(engine_pair, "SELECT id FROM t WHERE v = 0 OR 100 / v > 10")
+    assert rows
 
 
 # ---------------------------------------------------------------------------
@@ -213,5 +252,5 @@ projection = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(select=projection, where=predicate)
-def test_random_filter_projection_differential(engine_db, select, where):
-    run_differential(engine_db, f"SELECT {select} FROM t WHERE {where}")
+def test_random_filter_projection_differential(engine_pair, select, where):
+    run_differential(engine_pair, f"SELECT {select} FROM t WHERE {where}")

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.concurrency import LockManager
+from repro.errors import LockUnavailable
 from repro.sqldb import Database
 
 
@@ -79,3 +81,53 @@ class TestExplainAnalyze:
         assert db.execute(sql).rows == [(6,), (7,), (8,)]
         text = analyze_text(db, sql)
         assert "(loops=1 rows=3)" in text  # fresh counts, not accumulated
+
+
+class TestExplainAnalyzeIsolation:
+    """EXPLAIN ANALYZE executes its SELECT, so it must read under the
+    same isolation as the plain SELECT: shared locks, or the snapshot of
+    a READ ONLY transaction."""
+
+    @staticmethod
+    def make_db(**kwargs):
+        db = Database(**kwargs)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        return db
+
+    def test_blocked_by_uncommitted_writer_like_select(self):
+        db = self.make_db()
+        db.attach_lock_manager(LockManager())
+        db.execute("BEGIN", session="w")
+        db.execute("UPDATE t SET v = 99 WHERE id = 1", session="w")
+        with pytest.raises(LockUnavailable):
+            db.execute("SELECT v FROM t", session="r")
+        with pytest.raises(LockUnavailable):
+            db.execute("EXPLAIN ANALYZE SELECT v FROM t", session="r")
+        db.execute("COMMIT", session="w")
+        text = "\n".join(
+            line
+            for (line,) in db.execute(
+                "EXPLAIN ANALYZE SELECT v FROM t WHERE v = 99", session="r"
+            ).rows
+        )
+        assert "Execution: 1 row(s) returned" in text
+
+    def test_read_only_transaction_reports_the_snapshot(self):
+        db = self.make_db(mvcc=True)
+        db.attach_lock_manager(LockManager())
+        db.execute("BEGIN TRANSACTION READ ONLY", session="r")
+        db.execute("INSERT INTO t VALUES (4, 40)")
+        db.execute("BEGIN", session="w")
+        db.execute("UPDATE t SET v = 99 WHERE id = 1", session="w")
+        text = "\n".join(
+            line
+            for (line,) in db.execute(
+                "EXPLAIN ANALYZE SELECT v FROM t", session="r"
+            ).rows
+        )
+        assert "Execution: 3 row(s) returned" in text
+        assert len(db.execute("SELECT v FROM t", session="r").rows) == 3
+        db.execute("COMMIT", session="r")
+        db.execute("COMMIT", session="w")
+        assert len(db.execute("SELECT v FROM t").rows) == 4
