@@ -4,7 +4,7 @@ A session is keyed by the ``client_id`` every SEQUENCED frame already
 carries (and which the OPEN_SESSION handshake states explicitly).  Each
 session owns at most one open transaction inside the shared
 :class:`~repro.sqldb.database.Database`; the session token handed to the
-database *is* the client id, so two clients hold independent undo logs
+database *is* the client id, so two clients hold independent change lists
 and lock sets while the local default session (token ``None``) keeps
 working for server procedures and embedded use.
 """

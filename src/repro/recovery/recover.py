@@ -171,9 +171,10 @@ def restore_snapshot(database: Database, snapshot: Snapshot) -> None:
         for row_id, row in table.rows:
             storage.insert_at(row_id, row)
         storage.pad_slots(table.total_slots)
-        # adopt_storage attaches WAL journal and MVCC hooks; the storage is
-        # fully populated first, so restore itself creates no versions —
-        # checkpointed rows are committed state, chainless by definition.
+        # adopt_storage attaches the change sink and the MVCC version store;
+        # the storage is fully populated first, so restore itself records
+        # no change — checkpointed rows are committed state, chainless by
+        # definition.
         database.adopt_storage(schema, storage)
     for view_sql in snapshot.views:
         database.execute(view_sql)
@@ -228,10 +229,7 @@ def _replay(
         elif kind in (KIND_INSERT, KIND_DELETE, KIND_UPDATE):
             open_txns.setdefault(record.txn_id, []).append(record)
         elif kind == KIND_COMMIT:
-            # One mvcc_scope per committed transaction: the commit clock
-            # bumps exactly once per writing transaction, in log order —
-            # the same sequence the original execution produced.
-            with database.mvcc_scope():
+            with database.redo(record.txn_id):
                 for buffered in open_txns.pop(record.txn_id, []):
                     _apply_op(database, buffered)
                     report.replayed_records += 1
@@ -273,7 +271,7 @@ class Durability:
         db = durability.recover()       # replayed from the log
 
     ``db_kwargs`` are forwarded to every :class:`Database` the bundle
-    constructs (execution mode, plan-cache size, ...).
+    constructs (``mvcc``, planner mode, plan-cache size, ...).
     """
 
     def __init__(

@@ -43,33 +43,35 @@ from repro.sqldb.types import coerce_value, is_null
 
 
 class _Transaction:
-    """One open transaction: its undo logs, keyed by the session that
-    owns it (``None`` is the local/legacy default session)."""
+    """One transaction and its change list.
 
-    __slots__ = ("session", "txn_id", "storages", "logs", "read_only", "snapshot", "mvcc_writes")
+    Explicit transactions (BEGIN ... COMMIT) are keyed by their session
+    in ``Database._transactions``.  An autocommit DML statement runs as an
+    *implicit* transaction, and recovery replays each committed logged
+    transaction as one; all three end in :meth:`Database._finish`.
+    """
 
-    def __init__(self, session: Hashable, txn_id: int, read_only: bool = False) -> None:
-        self.session = session
+    __slots__ = ("txn_id", "implicit", "lock_owner", "read_only", "snapshot", "changes")
+
+    def __init__(self, txn_id: int, implicit: bool = False, read_only: bool = False) -> None:
+        #: WAL transaction id; for an explicit transaction also its lock
+        #: owner id.
         self.txn_id = txn_id
-        #: Storages in first-enlist order (rollback replays in reverse).
-        self.storages: list = []
-        #: id(storage) -> that storage's undo entries for this transaction.
-        self.logs: Dict[int, list] = {}
+        #: Implicit transactions fail fast on lock conflicts: there is no
+        #: transaction to keep a queue position for.
+        self.implicit = implicit
+        #: Lock-manager owner id.  An implicit transaction begins its
+        #: ephemeral owner on its first lock request.
+        self.lock_owner: Optional[int] = None if implicit else txn_id
         #: READ ONLY transactions reject DML; under MVCC they read a
         #: snapshot instead of taking shared locks.
         self.read_only = read_only
         #: The :class:`repro.sqldb.mvcc.Snapshot` captured at BEGIN for a
         #: read-only transaction on an MVCC database; None otherwise.
         self.snapshot = None
-        #: Dirty ``(storage, row_id)`` pairs to version-install at commit.
-        self.mvcc_writes: list = []
-
-    def log_for(self, storage) -> list:
-        log = self.logs.get(id(storage))
-        if log is None:
-            log = self.logs[id(storage)] = []
-            self.storages.append(storage)
-        return log
+        #: ``(storage, op, row_id, before)`` per row write, in write order:
+        #: rollback undoes them newest-first, commit installs their slots.
+        self.changes: List[Tuple[TableStorage, str, int, Any]] = []
 
 
 class Database:
@@ -127,10 +129,6 @@ class Database:
         #: snapshots, per-table version stores.  Opt-in so the default
         #: build stays byte-identical to the 2PL-only engine.
         self.mvcc = MvccManager(self.statistics) if mvcc else None
-        #: Dirty-write sink of the statement scope currently open for an
-        #: *autocommit* DML statement (explicit transactions collect into
-        #: their own ``mvcc_writes``); None when no scope is open.
-        self._mvcc_scope_writes: Optional[list] = None
         #: Re-ANALYZE a table before planning when its storage ``version``
         #: drifted this far past the version the statistics were collected
         #: at.  Only tables that *have* statistics re-collect — a never-
@@ -171,10 +169,9 @@ class Database:
         #: Optional :class:`repro.recovery.WalWriter` (see
         #: :meth:`attach_wal`); None keeps the database purely in-memory.
         self.wal = None
-        #: WAL transaction id of the statement currently executing (set by
-        #: :meth:`_wal_statement`); the storage journal sinks stamp it
-        #: onto every logged operation.
-        self._wal_txn_id: Optional[int] = None
+        #: The transaction the executing DML statement (or recovery redo)
+        #: writes into: where :meth:`_record_change` appends each change.
+        self._writer: Optional[_Transaction] = None
         #: Implicit (autocommit) WAL transaction ids are drawn from a
         #: disjoint high range so they can never collide with explicit
         #: transaction ids and merge in the log.
@@ -306,11 +303,6 @@ class Database:
 
     # -- transactions ------------------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        """Whether the local default session has an open transaction."""
-        return None in self._transactions
-
     def session_in_transaction(self, session: Hashable = None) -> bool:
         return session in self._transactions
 
@@ -330,69 +322,11 @@ class Database:
         """Make every mutation durable through *writer* (a
         :class:`repro.recovery.WalWriter`).
 
-        Hooks a journal sink onto every table's storage (tables created
-        later get theirs in :meth:`_create_table`): after each successful
-        insert/update/delete the sink appends a redo record under the
-        executing statement's WAL transaction id.  Explicit transactions
-        log COMMIT/ABORT from :meth:`commit`/:meth:`rollback`; autocommit
-        statements run as implicit single-statement transactions committed
-        at statement end.
+        Each row write appends a redo record under the executing
+        transaction's WAL id (see :meth:`_record_change`), and
+        :meth:`_finish` appends that transaction's COMMIT or ABORT record.
         """
         self.wal = writer
-        for name in self.catalog.table_names():
-            self._attach_journal(self.catalog.lookup(name).storage)
-
-    def _attach_journal(self, storage) -> None:
-        table = storage.schema.name
-
-        def sink(op: str, row_id: int, row) -> None:
-            wal = self.wal
-            txn_id = self._wal_txn_id
-            if wal is None or txn_id is None:
-                return
-            if op == "insert":
-                wal.log_insert(txn_id, table, row_id, row)
-            elif op == "update":
-                wal.log_update(txn_id, table, row_id, row)
-            else:
-                wal.log_delete(txn_id, table, row_id)
-
-        storage._journal = sink
-
-    @contextmanager
-    def _wal_statement(self):
-        """WAL transaction scope of one DML statement.
-
-        Inside an explicit transaction the statement logs under that
-        transaction's id (made durable by :meth:`commit`).  An autocommit
-        statement gets an implicit id committed at statement end — even
-        when the statement raised, because a multi-row autocommit INSERT
-        keeps its pre-error rows in memory and the log must agree with
-        memory.  (After a disk crash the commit append is a silent no-op:
-        the log ends where the power died, and the in-flight implicit
-        transaction is discarded at recovery — matching the memory state
-        the server throws away when it crashes.)
-        """
-        wal = self.wal
-        if wal is None:
-            yield
-            return
-        txn = self._transactions.get(self._current_session)
-        if txn is not None:
-            self._wal_txn_id = txn.txn_id
-            try:
-                yield
-            finally:
-                self._wal_txn_id = None
-            return
-        self._implicit_txn_seq += 1
-        txn_id = self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
-        self._wal_txn_id = txn_id
-        try:
-            yield
-        finally:
-            self._wal_txn_id = None
-            wal.commit(txn_id)
 
     def _log_ddl(self, statement) -> None:
         """Append a DDL record (the statement re-rendered to SQL text).
@@ -423,7 +357,7 @@ class Database:
         else:
             self._txn_seq += 1
             txn_id = self._txn_seq
-        txn = _Transaction(session, txn_id, read_only=read_only)
+        txn = _Transaction(txn_id, read_only=read_only)
         if read_only:
             self.statistics["readonly_txns"] += 1
             if self.recorder is not None:
@@ -439,28 +373,7 @@ class Database:
         txn = self._transactions.pop(session, None)
         if txn is None:
             raise ExecutionError("no transaction is active")
-        for storage in txn.storages:
-            # Detach only if this transaction's log is still the one
-            # attached — another session's statement may have re-pointed
-            # the storage since our last write.
-            if storage._undo is txn.logs[id(storage)]:
-                storage.detach_undo()
-        if self.wal is not None and not txn.read_only:
-            # The commit record is the durability point: if the disk dies
-            # on this very append (DiskCrashed propagates), the outcome is
-            # ambiguous on purpose — exactly like a real commit racing a
-            # power cut — and recovery decides by what hit the platter.
-            self.wal.commit(txn.txn_id)
-        if self.mvcc is not None:
-            # Versions install only after the commit record is durable, so
-            # a crash between the two leaves no committed-but-unlogged
-            # version for a snapshot to see after recovery.
-            if txn.snapshot is not None:
-                self.mvcc.close_snapshot(txn.snapshot)
-            else:
-                self.mvcc.commit(txn.mvcc_writes)
-        if self.locks is not None:
-            self.locks.release_all(txn.txn_id)
+        self._finish(txn, commit=True)
 
     def rollback(self, session: Hashable = None) -> None:
         """Undo every change the session's transaction made.
@@ -474,7 +387,7 @@ class Database:
         txn = self._transactions.pop(session, None)
         if txn is None:
             raise ExecutionError("no transaction is active")
-        self._rollback_txn(txn)
+        self._finish(txn, commit=False)
 
     def transaction(self, session: Hashable = None):
         """Context manager: commit on success, roll back on exception.
@@ -488,17 +401,45 @@ class Database:
         """
         return _TransactionContext(self, session)
 
-    def _rollback_txn(self, txn: _Transaction) -> None:
-        for storage in reversed(txn.storages):
-            storage.rollback_entries(txn.logs[id(storage)])
-        if self.wal is not None and not txn.read_only:
-            self.wal.abort(txn.txn_id)
-        if self.mvcc is not None:
+    def _finish(self, txn: _Transaction, commit: bool) -> None:
+        """End *txn*: the one commit/abort path of explicit, implicit
+        (autocommit) and recovery-replayed transactions.
+
+        An abort first undoes ``txn.changes`` newest-first.  Then, in
+        this order:
+
+        1. the WAL COMMIT or ABORT record (nothing, for a transaction that
+           logged no change).  The COMMIT append is the durability point:
+           if the disk dies on it, :class:`~repro.errors.DiskCrashed`
+           propagates and no later step runs, so no snapshot can see a
+           version the log does not hold;
+        2. version install (commit) or pending-write release (abort);
+        3. snapshot close;
+        4. lock release.
+        """
+        changes = txn.changes
+        if not commit:
+            for storage, op, row_id, before in reversed(changes):
+                storage.undo(op, row_id, before)
+        wal = self.wal
+        if wal is not None:
+            if commit:
+                wal.commit(txn.txn_id)
+            else:
+                wal.abort(txn.txn_id)
+        mvcc = self.mvcc
+        if mvcc is not None:
+            writes: List[Tuple[object, int]] = [
+                (storage, row_id) for storage, _op, row_id, _before in changes
+            ]
+            if commit:
+                mvcc.commit(writes)
+            else:
+                mvcc.abort(writes)
             if txn.snapshot is not None:
-                self.mvcc.close_snapshot(txn.snapshot)
-            self.mvcc.abort(txn.mvcc_writes)
-        if self.locks is not None:
-            self.locks.release_all(txn.txn_id)
+                mvcc.close_snapshot(txn.snapshot)
+        if self.locks is not None and txn.lock_owner is not None:
+            self.locks.release_all(txn.lock_owner)
 
     def _abort_txn(self, txn_id: int) -> None:
         """Force-abort the transaction with *txn_id* (deadlock victim).
@@ -511,7 +452,7 @@ class Database:
         for session, txn in list(self._transactions.items()):
             if txn.txn_id == txn_id:
                 del self._transactions[session]
-                self._rollback_txn(txn)
+                self._finish(txn, commit=False)
                 self._aborted[session] = (
                     f"transaction {txn_id} was aborted as a deadlock victim; "
                     f"restart the transaction"
@@ -523,55 +464,56 @@ class Database:
         if reason is not None:
             raise DeadlockError(reason)
 
-    def _enlist(self, storage) -> None:
-        """Point the storage's undo logging at the executing session's
-        transaction log — or detach it for autocommit statements, so an
-        autocommit write is never captured by a stale attached log."""
-        txn = self._transactions.get(self._current_session)
-        if txn is None:
-            if storage.in_transaction:
-                storage.detach_undo()
-            return
-        storage.attach_undo(txn.log_for(storage))
+    # -- the change sink ------------------------------------------------------------
 
-    # -- MVCC ---------------------------------------------------------------------
+    def _record_change(self, storage, op: str, row_id: int, before, after) -> None:
+        """The change sink of every table: called once per row write.
 
-    def _record_mvcc_write(self, storage, row_id: int) -> None:
-        """Storage write hook: route the dirty slot to whoever commits it —
-        the open explicit transaction, the autocommit statement scope, or
-        (for direct storage pokes outside any scope) an immediate
-        single-write commit so the version store never lags the heap."""
-        scope = self._mvcc_scope_writes
-        if scope is not None:
-            scope.append((storage, row_id))
-            return
-        txn = self._transactions.get(self._current_session)
-        if txn is not None:
-            txn.mvcc_writes.append((storage, row_id))
-            return
-        self.mvcc.commit([(storage, row_id)])
+        Appends the change to the executing transaction, appends its WAL
+        redo record under that transaction's id, and — on an MVCC
+        database — captures the slot's committed pre-image, so snapshots
+        keep reading it until :meth:`_finish` installs the new version.
+        Every row write runs inside a DML statement or a recovery redo,
+        which set ``_writer``.
+        """
+        txn = self._writer
+        assert txn is not None, "row write outside a transaction"
+        txn.changes.append((storage, op, row_id, before))
+        wal = self.wal
+        if wal is not None:
+            table = storage.schema.name
+            if op == "insert":
+                wal.log_insert(txn.txn_id, table, row_id, after)
+            elif op == "update":
+                wal.log_update(txn.txn_id, table, row_id, after)
+            else:
+                wal.log_delete(txn.txn_id, table, row_id)
+        if storage.mvcc is not None:
+            storage.mvcc.record_write(row_id, before)
 
     @contextmanager
-    def mvcc_scope(self):
-        """Version-install scope: writes recorded inside commit as one
-        stamped install at exit (even on error, mirroring
-        :meth:`_wal_statement`: a partially-applied autocommit INSERT keeps
-        its pre-error rows, and the version store must agree with memory).
-        Used for autocommit DML statements and by recovery replay, which
-        wraps each committed transaction's redo ops so the commit clock
-        rebuilds exactly.  A no-op inside an explicit transaction (its
-        commit installs) or without MVCC.
+    def _writing(self, txn: _Transaction):
+        """Route the row writes made inside the block to *txn*.
+
+        An implicit *txn* commits at exit even when the block raised: a
+        multi-row autocommit INSERT keeps its pre-error rows in memory,
+        and the log and the version store must agree with memory.
         """
-        if self.mvcc is None or self._transactions.get(self._current_session) is not None:
-            yield
-            return
-        previous = self._mvcc_scope_writes
-        writes = self._mvcc_scope_writes = []
+        previous, self._writer = self._writer, txn
         try:
             yield
         finally:
-            self._mvcc_scope_writes = previous
-            self.mvcc.commit(writes)
+            self._writer = previous
+            if txn.implicit:
+                self._finish(txn, commit=True)
+
+    def redo(self, txn_id: int):
+        """Recovery replay of one committed transaction, as a context
+        manager: the row writes made inside the block commit through
+        :meth:`_finish` as the original commit did, so the MVCC commit
+        clock bumps once per writing transaction, in log order, and
+        rebuilds exactly."""
+        return self._writing(_Transaction(txn_id, implicit=True))
 
     def _current_snapshot(self):
         """The executing session's snapshot, when it is a read-only
@@ -585,25 +527,24 @@ class Database:
 
     def adopt_storage(self, schema, storage) -> None:
         """Register an externally built storage (checkpoint restore) with
-        the catalog plus every attached subsystem (WAL journal, MVCC)."""
+        the catalog, the change sink and, under MVCC, a version store."""
         self.catalog.create(schema, storage)
-        if self.wal is not None:
-            self._attach_journal(storage)
+        storage.sink = self._record_change
         if self.mvcc is not None:
             self.mvcc.register(storage)
-            storage._mvcc_hook = self._record_mvcc_write
 
     # -- locking ------------------------------------------------------------------
 
     @contextmanager
     def _lock_scope(self):
-        """Lock-owner scope of one statement.
+        """Lock-owner scope of one read (SELECT, EXPLAIN ANALYZE,
+        ANALYZE); DML locks through its transaction (:meth:`_txn_locks`).
 
         Inside a transaction, locks attach to it and live until
-        commit/rollback (strict 2PL).  Autocommit statements get an
-        ephemeral owner released at statement end; their conflicts fail
-        fast (``park=False``) because there is no transaction to keep a
-        queue position for.  Yields ``(owner_id, parkable)`` or
+        commit/rollback (strict 2PL).  Autocommit reads get an ephemeral
+        owner released at statement end; their conflicts fail fast
+        (``park=False``) because there is no transaction to keep a queue
+        position for.  Yields ``(owner_id, parkable)`` or
         ``(None, False)`` when no lock manager is attached.
         """
         if self.locks is None:
@@ -611,13 +552,24 @@ class Database:
             return
         txn = self._transactions.get(self._current_session)
         if txn is not None:
-            yield txn.txn_id, True
+            yield txn.lock_owner, True
             return
         owner = self.locks.begin(owner="autocommit")
         try:
             yield owner, False
         finally:
             self.locks.release_all(owner)
+
+    def _txn_locks(self, txn: _Transaction) -> Tuple[Optional[int], bool]:
+        """``(owner_id, parkable)`` for *txn*'s DML locks, like
+        :meth:`_lock_scope` yields; ``(None, False)`` without a lock
+        manager.  An implicit transaction begins its ephemeral owner
+        here, on its first lock request."""
+        if self.locks is None:
+            return None, False
+        if txn.lock_owner is None:
+            txn.lock_owner = self.locks.begin(owner="autocommit")
+        return txn.lock_owner, not txn.implicit
 
     def _acquire_lock(self, owner, parkable, table, row_id, mode) -> None:
         if owner is None:
@@ -629,7 +581,7 @@ class Database:
             # rolled back here so the raised error leaves a clean slate.
             txn = self._transactions.pop(self._current_session, None)
             if txn is not None:
-                self._rollback_txn(txn)
+                self._finish(txn, commit=False)
             raise
 
     def _acquire_footprint(self, owner, parkable, requests) -> None:
@@ -750,7 +702,7 @@ class Database:
     # -- DML / DDL ----------------------------------------------------------------
 
     #: Statement types whose effects (catalog mutations, index builds)
-    #: the undo log cannot reverse — rejected inside any transaction.
+    #: rollback cannot reverse — rejected inside any transaction.
     _DDL_STATEMENTS = (
         ast.CreateTable,
         ast.CreateIndex,
@@ -794,15 +746,17 @@ class Database:
                     f"{type(statement).__name__.upper()} is not allowed "
                     f"inside a READ ONLY transaction"
                 )
-            # mvcc_scope outer: an autocommit statement's versions install
-            # after its implicit WAL commit, same order as explicit commit.
-            with self.mvcc_scope():
-                with self._wal_statement():
-                    if isinstance(statement, ast.Insert):
-                        return self._insert(statement, params)
-                    if isinstance(statement, ast.Update):
-                        return self._update(statement, params)
-                    return self._delete(statement, params)
+            if txn is None:
+                self._implicit_txn_seq += 1
+                txn = _Transaction(
+                    self._IMPLICIT_TXN_BASE + self._implicit_txn_seq, implicit=True
+                )
+            with self._writing(txn):
+                if isinstance(statement, ast.Insert):
+                    return self._insert(statement, params, txn)
+                if isinstance(statement, ast.Update):
+                    return self._update(statement, params, txn)
+                return self._delete(statement, params, txn)
         if isinstance(statement, ast.CreateView):
             result = self._create_view(statement)
             self._log_ddl(statement)
@@ -974,7 +928,9 @@ class Database:
         self.adopt_storage(schema, storage)
         return ResultSet([], [], rowcount=0)
 
-    def _insert(self, statement: ast.Insert, params: Sequence[Any]) -> ResultSet:
+    def _insert(
+        self, statement: ast.Insert, params: Sequence[Any], txn: _Transaction
+    ) -> ResultSet:
         from repro.concurrency.footprint import insert_footprint  # local: avoid cycle
 
         entry = self.catalog.lookup(statement.table)
@@ -987,14 +943,7 @@ class Database:
             else ()
         )
         requests = insert_footprint(entry.schema.name, sources)
-        with self._lock_scope() as (owner, parkable):
-            self._acquire_footprint(owner, parkable, requests)
-            return self._insert_locked(statement, params, entry)
-
-    def _insert_locked(
-        self, statement: ast.Insert, params: Sequence[Any], entry
-    ) -> ResultSet:
-        self._enlist(entry.storage)
+        self._acquire_footprint(*self._txn_locks(txn), requests)
         schema = entry.schema
         if statement.columns is not None:
             positions = [schema.column_index(name) for name in statement.columns]
@@ -1061,7 +1010,9 @@ class Database:
                 matches.append(row_id)
         return matches
 
-    def _update(self, statement: ast.Update, params: Sequence[Any]) -> ResultSet:
+    def _update(
+        self, statement: ast.Update, params: Sequence[Any], txn: _Transaction
+    ) -> ResultSet:
         from repro.concurrency.footprint import update_footprint  # local: avoid cycle
 
         entry = self.catalog.lookup(statement.table)
@@ -1077,29 +1028,30 @@ class Database:
             statement.where,
             self._where_subquery_tables(statement.where),
         )
-        with self._lock_scope() as (owner, parkable):
-            self._acquire_footprint(owner, parkable, requests)
-            row_ids = self._matching_row_ids(entry, statement.where, params, env)
-            # Row-level X on every matched row *before* the first mutation:
-            # a conflict aborts the statement with nothing to undo, and the
-            # rows are re-fetched below after the grant, so an assignment
-            # like ``v = v + 1`` always reads the latest committed value.
-            self._acquire_row_locks(owner, parkable, requests, row_ids)
-            self._enlist(entry.storage)
-            for row_id in row_ids:
-                old_row = entry.storage.fetch(row_id)
-                row = list(old_row)
-                # SQL semantics: every assignment sees the pre-update row.
-                for position, closure in compiled:
-                    value = closure(old_row, env)
-                    column = schema.columns[position]
-                    row[position] = (
-                        None if is_null(value) else coerce_value(value, column.sql_type)
-                    )
-                entry.storage.update(row_id, row)
+        owner, parkable = self._txn_locks(txn)
+        self._acquire_footprint(owner, parkable, requests)
+        row_ids = self._matching_row_ids(entry, statement.where, params, env)
+        # Row-level X on every matched row *before* the first mutation:
+        # a conflict aborts the statement with nothing to undo, and the
+        # rows are re-fetched below after the grant, so an assignment
+        # like ``v = v + 1`` always reads the latest committed value.
+        self._acquire_row_locks(owner, parkable, requests, row_ids)
+        for row_id in row_ids:
+            old_row = entry.storage.fetch(row_id)
+            row = list(old_row)
+            # SQL semantics: every assignment sees the pre-update row.
+            for position, closure in compiled:
+                value = closure(old_row, env)
+                column = schema.columns[position]
+                row[position] = (
+                    None if is_null(value) else coerce_value(value, column.sql_type)
+                )
+            entry.storage.update(row_id, row)
         return ResultSet([], [], rowcount=len(row_ids))
 
-    def _delete(self, statement: ast.Delete, params: Sequence[Any]) -> ResultSet:
+    def _delete(
+        self, statement: ast.Delete, params: Sequence[Any], txn: _Transaction
+    ) -> ResultSet:
         from repro.concurrency.footprint import delete_footprint  # local: avoid cycle
 
         entry = self.catalog.lookup(statement.table)
@@ -1109,13 +1061,12 @@ class Database:
             statement.where,
             self._where_subquery_tables(statement.where),
         )
-        with self._lock_scope() as (owner, parkable):
-            self._acquire_footprint(owner, parkable, requests)
-            row_ids = self._matching_row_ids(entry, statement.where, params, env)
-            self._acquire_row_locks(owner, parkable, requests, row_ids)
-            self._enlist(entry.storage)
-            for row_id in row_ids:
-                entry.storage.delete(row_id)
+        owner, parkable = self._txn_locks(txn)
+        self._acquire_footprint(owner, parkable, requests)
+        row_ids = self._matching_row_ids(entry, statement.where, params, env)
+        self._acquire_row_locks(owner, parkable, requests, row_ids)
+        for row_id in row_ids:
+            entry.storage.delete(row_id)
         return ResultSet([], [], rowcount=len(row_ids))
 
 

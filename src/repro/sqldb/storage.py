@@ -4,17 +4,22 @@ Rows are stored as Python tuples in insertion order.  Hash indexes map a
 key (tuple of column values) to the list of row ids holding that key; they
 accelerate the equality lookups that dominate the paper's navigational
 workload (``WHERE link.left = ?``) and the engine's hash joins.
+
+Each successful row write is reported exactly once to the owning
+database's change sink (:attr:`TableStorage.sink`), which records it for
+rollback, the write-ahead log and MVCC in one place.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, IntegrityError
 from repro.sqldb.schema import TableSchema
 from repro.sqldb.types import is_null
 
 Row = Tuple[object, ...]
+ChangeSink = Callable[["TableStorage", str, int, Optional[Row], Optional[Row]], None]
 
 
 class HashIndex:
@@ -42,10 +47,23 @@ class HashIndex:
             return
         bucket = self._buckets.setdefault(key, [])
         if self.unique and bucket:
-            raise IntegrityError(
-                f"unique index {self.name!r} violated by key {key!r}"
-            )
+            raise self._violation(key)
         bucket.append(row_id)
+
+    def check_unique(self, row_id: int, row: Row) -> None:
+        """Raise if filing *row* in slot *row_id* would violate this index
+        (never, for a non-unique index).  Touches no bucket."""
+        if not self.unique:
+            return
+        key = self.key_for(row)
+        if key is None:
+            return
+        bucket = self._buckets.get(key)
+        if bucket and bucket[0] != row_id:
+            raise self._violation(key)
+
+    def _violation(self, key: Tuple[object, ...]) -> IntegrityError:
+        return IntegrityError(f"unique index {self.name!r} violated by key {key!r}")
 
     def remove(self, row_id: int, row: Row) -> None:
         key = self.key_for(row)
@@ -77,27 +95,21 @@ class TableStorage:
         self._rows: List[Optional[Row]] = []
         self._live_count = 0
         self._indexes: Dict[str, HashIndex] = {}
-        #: Undo log for the enclosing transaction; None when not enlisted.
-        self._undo: Optional[List[tuple]] = None
-        #: Redo journal sink (the database's WAL hook): called as
-        #: ``journal(op, row_id, row)`` after every successful mutation.
-        #: Detached (like ``_undo``) while a rollback replays inverses —
-        #: an abort is logged as one ABORT record, not as compensation.
-        self._journal = None
+        #: Change sink of the owning database: called exactly once per
+        #: successful row write as ``sink(storage, op, row_id, before,
+        #: after)``, with *op* one of ``"insert"``, ``"update"`` and
+        #: ``"delete"``.  None for a free-standing storage, and while
+        #: :meth:`undo` applies an inverse — a rollback is not a change.
+        self.sink: Optional[ChangeSink] = None
         #: Mutation counter: bumped by every insert/update/delete/restore.
         #: Auto-ANALYZE compares it with the version its statistics were
         #: collected at, without hooking every mutation path individually.
         self.version = 0
         #: MVCC version store (``repro.sqldb.mvcc.VersionStore``) when the
         #: owning database runs with snapshot reads; None otherwise.  The
-        #: committed pre-image of every write is captured here *as part of
-        #: the write*, so snapshot readers never see dirty heap values.
+        #: sink captures the committed pre-image of every write here *as
+        #: part of the write*, so snapshot readers never see dirty values.
         self.mvcc = None
-        #: Database dirty-write tracker: called as ``hook(storage, row_id)``
-        #: after every mutation so the enclosing transaction (or autocommit
-        #: statement scope) knows which slots to version-install at commit.
-        #: Detached together with ``_journal`` during rollback replay.
-        self._mvcc_hook = None
         pk_position = schema.primary_key_index()
         if pk_position is not None:
             self.create_index(f"{schema.name}_pk", [schema.columns[pk_position].name], unique=True)
@@ -122,16 +134,14 @@ class TableStorage:
                 )
         row_id = len(self._rows)
         # Index maintenance first so a unique violation leaves no trace.
+        self._check_unique(row_id, stored)
         for index in self._indexes.values():
             index.add(row_id, stored)
         self._rows.append(stored)
         self._live_count += 1
         self.version += 1
-        if self._undo is not None:
-            self._undo.append(("insert", row_id))
-        if self._journal is not None:
-            self._journal("insert", row_id, stored)
-        self._notify_mvcc(row_id, None)
+        if self.sink is not None:
+            self.sink(self, "insert", row_id, None, stored)
         return row_id
 
     def insert_at(self, row_id: int, row: Sequence[object]) -> None:
@@ -157,7 +167,8 @@ class TableStorage:
         self._rows[row_id] = stored
         self._live_count += 1
         self.version += 1
-        self._notify_mvcc(row_id, None)
+        if self.sink is not None:
+            self.sink(self, "insert", row_id, None, stored)
 
     def pad_slots(self, total_slots: int) -> None:
         """Extend the heap with dead slots up to *total_slots* (restoring
@@ -174,11 +185,8 @@ class TableStorage:
         self._rows[row_id] = None
         self._live_count -= 1
         self.version += 1
-        if self._undo is not None:
-            self._undo.append(("delete", row_id, row))
-        if self._journal is not None:
-            self._journal("delete", row_id, row)
-        self._notify_mvcc(row_id, row)
+        if self.sink is not None:
+            self.sink(self, "delete", row_id, row, None)
 
     def update(self, row_id: int, new_row: Sequence[object]) -> None:
         old_row = self._rows[row_id]
@@ -190,17 +198,21 @@ class TableStorage:
                 raise IntegrityError(
                     f"column {self.schema.name}.{column.name} is NOT NULL"
                 )
+        self._check_unique(row_id, stored)
         for index in self._indexes.values():
             index.remove(row_id, old_row)
         for index in self._indexes.values():
             index.add(row_id, stored)
         self._rows[row_id] = stored
         self.version += 1
-        if self._undo is not None:
-            self._undo.append(("update", row_id, old_row))
-        if self._journal is not None:
-            self._journal("update", row_id, stored)
-        self._notify_mvcc(row_id, old_row)
+        if self.sink is not None:
+            self.sink(self, "update", row_id, old_row, stored)
+
+    def _check_unique(self, row_id: int, row: Row) -> None:
+        """Check *row* against every unique index before any index is
+        touched, so a violation leaves all of them as they were."""
+        for index in self._indexes.values():
+            index.check_unique(row_id, row)
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """Yield (row_id, row) for every live row in insertion order."""
@@ -220,15 +232,6 @@ class TableStorage:
         return row
 
     # -- MVCC snapshot reads ---------------------------------------------------
-
-    def _notify_mvcc(self, row_id: int, old_row: Optional[Row]) -> None:
-        """Version bookkeeping for one successful heap write: capture the
-        committed pre-image (first write to the slot) and report the dirty
-        slot to the owning database's transaction scope."""
-        if self.mvcc is not None:
-            self.mvcc.record_write(row_id, old_row)
-        if self._mvcc_hook is not None:
-            self._mvcc_hook(self, row_id)
 
     def snapshot_rows(self, snapshot) -> Iterator[Row]:
         """Every row visible to *snapshot*, in slot order, lock-free."""
@@ -290,73 +293,24 @@ class TableStorage:
 
     # -- transactions ---------------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._undo is not None
-
-    def attach_undo(self, log: List[tuple]) -> None:
-        """Point mutation logging at *log* (owned by one transaction).
-
-        The database re-attaches the executing transaction's log before
-        every DML statement, so concurrent sessions each collect their own
-        inverses even when they touch the same table — strict 2PL keeps
-        their row sets disjoint, which is what makes per-transaction
-        replay safe.
-        """
-        self._undo = log
-
-    def detach_undo(self) -> None:
-        """Stop logging mutations (autocommit, or after commit)."""
-        self._undo = None
-
-    def begin_undo(self) -> None:
-        """Enlist this table in a transaction: start recording inverses."""
-        if self._undo is None:
-            self._undo = []
-
-    def commit_undo(self) -> None:
-        """Forget the undo log (changes become permanent)."""
-        self._undo = None
-
-    def rollback_undo(self) -> None:
-        """Replay the attached undo log backwards, restoring the
-        pre-transaction state (rows and indexes)."""
-        entries = self._undo
-        self._undo = None  # replay must not log
-        self.rollback_entries(entries or [])
-
-    def rollback_entries(self, entries: List[tuple]) -> None:
-        """Replay *entries* backwards with logging detached.
-
-        Used by per-session transactions: the rolled-back transaction's
-        log is replayed without disturbing whichever log happens to be
-        attached (it is re-attached by the next statement anyway).
-        """
-        attached = self._undo
-        journal = self._journal
-        store = self.mvcc
-        hook = self._mvcc_hook
-        self._undo = None  # replay must not log
-        self._journal = None  # the WAL sees one ABORT, not compensation ops
-        # Inverse replay restores the committed state the chains already
-        # describe — re-capturing "pre-images" of the compensation writes
-        # would corrupt the pending counts, so MVCC detaches too.
-        self.mvcc = None
-        self._mvcc_hook = None
+    def undo(self, op: str, row_id: int, before: Optional[Row]) -> None:
+        """Apply the inverse of one change (*op* on *row_id*, whose prior
+        value was *before*) with the sink detached: a rollback is logged
+        as one ABORT record and restores the committed state the version
+        chains already describe, so it records nothing itself."""
+        sink = self.sink
+        self.sink = None
         try:
-            for entry in reversed(entries):
-                kind = entry[0]
-                if kind == "insert":
-                    self.delete(entry[1])
-                elif kind == "delete":
-                    self._restore(entry[1], entry[2])
-                else:
-                    self.update(entry[1], entry[2])
+            if op == "insert":
+                self.delete(row_id)
+            elif op == "delete":
+                assert before is not None
+                self._restore(row_id, before)
+            else:
+                assert before is not None
+                self.update(row_id, before)
         finally:
-            self._undo = None if attached is entries else attached
-            self._journal = journal
-            self.mvcc = store
-            self._mvcc_hook = hook
+            self.sink = sink
 
     def _restore(self, row_id: int, row: Row) -> None:
         """Re-materialise a deleted row in its original slot."""

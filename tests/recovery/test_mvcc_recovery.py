@@ -7,7 +7,10 @@ snapshot opened on the recovered database must see exactly the committed
 pre-crash state.
 """
 
-from repro.recovery import Durability, SimDisk
+import pytest
+
+from repro.errors import DiskCrashed, IntegrityError
+from repro.recovery import DiskFaultProfile, Durability, SimDisk
 
 
 def make_durability():
@@ -99,3 +102,48 @@ class TestMvccRecovery:
         second = durability.recover()
         assert second.mvcc.dump() == first_dump
         assert second.mvcc.chain_count() == 0
+
+
+class TestCommitOrder:
+    def test_crash_on_commit_record_installs_no_version(self):
+        """The WAL COMMIT append comes before the version install: when the
+        disk dies on that append, the commit clock has not moved and no
+        version of the transaction's write exists."""
+        durability, db = make_durability()
+        clock = db.mvcc.clock
+        durability.disk.arm(
+            DiskFaultProfile(name="x", crash_at_append=3),  # BEGIN, UPDATE, COMMIT
+            seed=5,
+        )
+        db.begin()
+        db.execute("UPDATE t SET v = 99 WHERE id = 1")
+        with pytest.raises(DiskCrashed):
+            db.commit()
+        assert db.mvcc.clock == clock
+        for chains in db.mvcc.dump()["tables"].values():
+            for chain in chains.values():
+                for begin, __, row in chain:
+                    assert begin <= clock
+                    assert row != (1, 99)
+
+
+class TestAutocommitOnError:
+    def test_failed_insert_keeps_its_prefix_in_memory_snapshot_and_log(self):
+        """A multi-row autocommit INSERT that fails mid-way keeps the rows
+        before the error, and commits them: memory, a snapshot and the
+        recovered database all agree, and so do the version stores."""
+        durability = Durability(SimDisk(), db_kwargs={"mvcc": True})
+        db = durability.open()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 10)")
+        with pytest.raises(IntegrityError):
+            db.execute("INSERT INTO t VALUES (2, 20), (1, 99), (3, 30)")
+        expected = [(1, 10), (2, 20)]
+        assert db.execute("SELECT id, v FROM t ORDER BY id").rows == expected
+        db.execute("BEGIN TRANSACTION READ ONLY", session="r")
+        assert db.execute("SELECT id, v FROM t ORDER BY id", session="r").rows == expected
+        db.execute("COMMIT", session="r")
+        assert db.mvcc.dump() == {"clock": 2, "tables": {}}
+        recovered = durability.recover()
+        assert recovered.execute("SELECT id, v FROM t ORDER BY id").rows == expected
+        assert recovered.mvcc.dump() == {"clock": 2, "tables": {}}

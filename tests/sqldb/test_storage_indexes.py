@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CatalogError, IntegrityError
+from repro.sqldb.database import Database
 from repro.sqldb.schema import Column, TableSchema
 from repro.sqldb.storage import HashIndex, TableStorage
 from repro.sqldb.types import INTEGER, VARCHAR
@@ -130,6 +131,41 @@ class TestIndexes:
         index = storage.find_index(["grp", "name"])
         assert index.probe((5, "a")) == [row_id]
         assert index.probe((5, "b")) == []
+
+
+class TestUniqueViolationKeepsIndexes:
+    """A write rejected by a unique index leaves every index as it was."""
+
+    def test_failed_update_keeps_the_old_key_probeable(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        with pytest.raises(IntegrityError):
+            db.execute("UPDATE t SET id = 2 WHERE id = 1")
+        assert db.execute("SELECT id, v FROM t ORDER BY id").rows == [(1, 10), (2, 20)]
+        plan = "\n".join(row[0] for row in db.explain("SELECT id, v FROM t WHERE id = 1").rows)
+        assert "IndexLookup" in plan and "t_pk" in plan
+        assert db.execute("SELECT id, v FROM t WHERE id = 1").rows == [(1, 10)]
+        assert db.execute("SELECT id, v FROM t WHERE id = 2").rows == [(2, 20)]
+
+    def test_failed_insert_leaves_no_key_in_earlier_indexes(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("CREATE UNIQUE INDEX t_v ON t (v)")
+        db.execute("INSERT INTO t VALUES (1, 100)")
+        with pytest.raises(IntegrityError):
+            db.execute("INSERT INTO t VALUES (2, 100)")
+        db.execute("INSERT INTO t VALUES (2, 200)")
+        assert db.execute("SELECT id, v FROM t ORDER BY id").rows == [(1, 100), (2, 200)]
+        assert db.execute("SELECT v FROM t WHERE id = 2").rows == [(200,)]
+
+    def test_non_unique_bucket_order_is_unchanged_by_update(self, storage):
+        storage.create_index("t_grp", ["grp"])
+        first = storage.insert((1, 5, "a"))
+        second = storage.insert((2, 5, "b"))
+        storage.update(first, (1, 5, "c"))
+        # Update re-files the row at the end of its bucket, as it always has.
+        assert storage.find_index(["grp"]).probe((5,)) == [second, first]
 
 
 class TestHashIndexUnit:
