@@ -22,7 +22,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.concurrency import (  # noqa: E402
+from repro.sim import (  # noqa: E402
     ContentionConfig,
     ContentionSim,
     report_json,

@@ -26,7 +26,7 @@ sys.path.insert(
 )
 
 from repro.errors import DurabilityError  # noqa: E402
-from repro.recovery import (  # noqa: E402
+from repro.sim import (  # noqa: E402
     CrashConfig,
     CrashChaosSim,
     report_json,

@@ -202,13 +202,12 @@ def run_contention_smoke() -> dict:
     """Fixed-seed contention smoke: two identical runs of the mixed
     expand/check-out workload must agree byte for byte and lose no
     update."""
-    from repro.concurrency import ContentionConfig, ContentionSim, report_json
+    from bench_contention import SMOKE_CONFIG
 
-    config = ContentionConfig(
-        clients=4, ops_per_client=8, conflict_rate=0.7, seed=SEED
-    )
-    first = ContentionSim(config).run()
-    second = ContentionSim(config).run()
+    from repro.sim import ContentionSim, report_json
+
+    first = ContentionSim(SMOKE_CONFIG).run()
+    second = ContentionSim(SMOKE_CONFIG).run()
     return {
         "schedule_hash": first["schedule"]["hash"],
         "steps": first["schedule"]["steps"],
@@ -230,7 +229,7 @@ def run_mvcc_smoke() -> dict:
     waits/aborts and strictly lower expand p99 under MVCC."""
     from bench_mvcc import SMOKE_KWARGS, check_pair, compare
 
-    from repro.concurrency import ContentionConfig, ContentionSim, report_json
+    from repro.sim import ContentionConfig, ContentionSim, report_json
 
     locking = ContentionSim(ContentionConfig(mvcc=False, **SMOKE_KWARGS)).run()
     mvcc = ContentionSim(ContentionConfig(mvcc=True, **SMOKE_KWARGS)).run()
@@ -264,13 +263,13 @@ def run_crash_smoke() -> dict:
     (byte-identical reports required) plus a reduced crash-point sweep
     auditing the durability invariants under all three failure
     flavours."""
-    from repro.errors import DurabilityError
-    from repro.recovery import CrashConfig, CrashChaosSim, run_crash_sweep
-    from repro.recovery import report_json as crash_report_json
+    from bench_crash import SMOKE_CONFIG
 
-    config = CrashConfig(crash_at_append=7, failure="torn", seed=SEED)
-    first = CrashChaosSim(config).run()
-    second = CrashChaosSim(config).run()
+    from repro.errors import DurabilityError
+    from repro.sim import CrashChaosSim, report_json, run_crash_sweep
+
+    first = CrashChaosSim(SMOKE_CONFIG).run()
+    second = CrashChaosSim(SMOKE_CONFIG).run()
     try:
         sweep = run_crash_sweep(seed=SEED, max_crash_at=4)
         sweep_ok = sweep["all_invariants_held"]
@@ -283,8 +282,7 @@ def run_crash_smoke() -> dict:
     return {
         "schedule_hash": first["schedule"]["hash"],
         "steps": first["schedule"]["steps"],
-        "deterministic": crash_report_json(first)
-        == crash_report_json(second),
+        "deterministic": report_json(first) == report_json(second),
         "crash_occurred": first["crash"]["occurred"],
         "restarts": first["restarts"],
         "lost_committed": len(first["lost_committed"]),

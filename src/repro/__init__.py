@@ -27,13 +27,7 @@ Quickstart::
 """
 
 from repro.bench.workload import Scenario, build_scenario
-from repro.concurrency import (
-    ContentionConfig,
-    ContentionSim,
-    LockManager,
-    LockMode,
-    SessionManager,
-)
+from repro.concurrency import LockManager, LockMode, SessionManager
 from repro.model import (
     Action,
     NetworkParameters,
@@ -57,6 +51,7 @@ from repro.server.multisite import (
     build_replicated_deployment,
     make_site,
 )
+from repro.sim import ContentionConfig, ContentionSim
 from repro.sqldb import Database
 
 __version__ = "1.0.0"

@@ -1,12 +1,13 @@
-"""Concurrent sessions: 2PL locking, per-client transactions, contention.
+"""Concurrent sessions: 2PL locking and per-client transactions.
 
 The paper's measurements are single-user, but its setting — hundreds of
 engineers against one PDM server — is not.  This package supplies the
 concurrency substrate: a strict two-phase :class:`LockManager` with
 parked FIFO waiters and wait-for-graph deadlock detection, a
 :class:`SessionManager` mapping wire clients onto independent database
-transactions, and a deterministic :class:`ContentionSim` that interleaves
-N cooperative clients over one simulated clock.
+transactions, and the lock-footprint model the static transaction
+analyzer shares with the runtime.  The seeded contention simulator that
+races N clients over this substrate lives in :mod:`repro.sim`.
 """
 
 from repro.concurrency.footprint import (
@@ -22,14 +23,6 @@ from repro.concurrency.footprint import (
 )
 from repro.concurrency.locks import LockManager, LockMode, compatible
 from repro.concurrency.sessions import Session, SessionManager
-from repro.concurrency.sim import (
-    ContentionConfig,
-    ContentionSim,
-    exact_percentile,
-    report_json,
-    run_contention,
-    workload_scripts,
-)
 
 __all__ = [
     "Granularity",
@@ -38,18 +31,12 @@ __all__ = [
     "LockRequest",
     "Session",
     "SessionManager",
-    "ContentionConfig",
-    "ContentionSim",
     "compatible",
     "delete_footprint",
     "insert_footprint",
     "may_conflict",
     "may_overlap",
-    "run_contention",
-    "report_json",
-    "exact_percentile",
     "select_footprint",
     "statement_footprint",
     "update_footprint",
-    "workload_scripts",
 ]

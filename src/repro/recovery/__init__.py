@@ -10,20 +10,12 @@ Layers, bottom up:
   appends through;
 * :mod:`repro.recovery.recover` — checkpoint snapshots and the
   :class:`Durability` bundle that replays the log into a fresh database
-  at every open;
-* :mod:`repro.recovery.chaos` — the deterministic crash-chaos simulator
-  and its sweep driver (the ``bench_crash`` harness).
+  at every open.
+
+The deterministic crash-chaos simulator that drives this subsystem under
+a live workload, and its sweep driver, live in :mod:`repro.sim.chaos`.
 """
 
-from repro.recovery.chaos import (
-    CRASH_FAILURES,
-    CrashChaosSim,
-    CrashConfig,
-    report_json,
-    run_crash_chaos,
-    run_crash_sweep,
-    sweep_profiles,
-)
 from repro.recovery.recover import (
     Durability,
     RecoveryReport,
@@ -52,9 +44,6 @@ from repro.recovery.wal import (
 )
 
 __all__ = [
-    "CRASH_FAILURES",
-    "CrashChaosSim",
-    "CrashConfig",
     "Durability",
     "DiskFaultProfile",
     "KIND_ABORT",
@@ -76,11 +65,7 @@ __all__ = [
     "WalWriter",
     "decode_payload",
     "encode_record",
-    "report_json",
     "restore_snapshot",
-    "run_crash_chaos",
-    "run_crash_sweep",
     "scan_wal",
     "snapshot_database",
-    "sweep_profiles",
 ]

@@ -504,7 +504,7 @@ class RemoteConnection:
         would apply the transaction twice if it did.  Transactions re-
         driven across crashes must therefore be crash-idempotent — check
         whether their effect is already present before re-applying (see
-        the applied-token pattern in ``repro.recovery.chaos``).
+        the applied-token pattern in ``repro.sim.chaos``).
         """
         policy = retry_policy or self.retry_policy or RetryPolicy()
         rng = policy.rng()

@@ -1,13 +1,12 @@
-"""Deterministic crash-chaos simulator: contention workload + crash points.
+"""Crash-chaos workload: counter transactions on a durable, crashing server.
 
-Mirrors :class:`repro.concurrency.sim.ContentionSim` — N generator
-clients resumed by a seeded scheduler over one simulated clock — but the
-server runs on a :class:`Durability` bundle (WAL on a :class:`SimDisk`)
-and the disk is armed with a seeded crash point: on the Nth WAL append
-the disk dies (optionally leaving a torn final record or a bit-flipped
-corrupt tail).  The server crashes, evicts every session, and the
-scheduler restarts it through WAL recovery before resuming the clients,
-which reconcile and finish their workload.
+The server runs on a :class:`~repro.recovery.recover.Durability` bundle
+(WAL on a :class:`~repro.recovery.simdisk.SimDisk`) and the disk is
+armed with a seeded crash point: on the Nth WAL append the disk dies
+(optionally leaving a torn final record or a bit-flipped corrupt tail).
+The server crashes and evicts every session; the scheduler restarts it
+through WAL recovery before resuming the clients, which reconcile and
+finish their workload.
 
 Every transaction is crash-idempotent via the *applied-token* pattern:
 it inserts one unique token row in the same transaction as its two
@@ -32,14 +31,9 @@ ids are excluded), so two runs with the same seed are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import random
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.concurrency.locks import LockManager
-from repro.concurrency.sessions import SessionManager
 from repro.errors import (
     DeadlockError,
     DurabilityError,
@@ -49,12 +43,9 @@ from repro.errors import (
     ServerUnavailable,
     SessionError,
 )
-from repro.network.clock import SimulatedClock
-from repro.network.link import NetworkLink
-from repro.recovery.recover import Durability
+from repro.recovery.recover import Durability, RecoveryReport
 from repro.recovery.simdisk import DiskFaultProfile, SimDisk
-from repro.server.client import RemoteConnection
-from repro.server.server import DatabaseServer
+from repro.sim.harness import World, client_rng
 from repro.sqldb.database import Database
 
 #: Fault flavours a crash point can take.
@@ -116,40 +107,29 @@ class CrashConfig:
         )
 
 
-class CrashChaosSim:
+class CrashChaosSim(World):
     """One deterministic crash-chaos run (see module docstring)."""
-
-    #: Hard cap on scheduler steps; hitting it means livelock, a bug.
-    MAX_STEPS = 50_000
 
     def __init__(self, config: CrashConfig) -> None:
         self.config = config
-        self.clock = SimulatedClock()
         self.disk = SimDisk()
-        self.durability = Durability(self.disk)
-        database = self.durability.open()
+        durability = Durability(self.disk)
+        database = durability.open()
         self._setup_schema(database)
         # Checkpoint the seed state so every recovery in this run starts
         # from the snapshot, then arm the crash point: workload appends
         # only from here on.
-        self.durability.checkpoint()
+        durability.checkpoint()
         if config.crash_at_append is not None:
             self.disk.arm(config.profile(), seed=config.seed)
-        self.locks = LockManager(
-            clock=self.clock, timeout_s=config.lock_timeout_s
+        super().__init__(
+            database,
+            config.clients,
+            lock_timeout_s=config.lock_timeout_s,
+            latency_s=config.latency_s,
+            dtr_kbit_s=config.dtr_kbit_s,
+            durability=durability,
         )
-        self.sessions = SessionManager(database, self.locks)
-        self.server = DatabaseServer(
-            database, sessions=self.sessions, durability=self.durability
-        )
-        self.connections: List[RemoteConnection] = []
-        for __ in range(config.clients):
-            link = NetworkLink(
-                latency_s=config.latency_s,
-                dtr_kbit_s=config.dtr_kbit_s,
-                clock=self.clock,
-            )
-            self.connections.append(RemoteConnection(self.server, link))
         self.acked: Dict[int, List[int]] = {
             index: [] for index in range(config.clients)
         }
@@ -162,13 +142,6 @@ class CrashChaosSim:
             "reconciled_committed": 0,
             "reconciled_retried": 0,
         }
-        self.restarts = 0
-        #: Recovery report of the *crash* restart (the first one) — this
-        #: is the scan that sees the torn/corrupt tail, unlike the final
-        #: fixpoint recovery which reads an already-truncated log.
-        self.crash_recovery: Optional[Dict[str, Any]] = None
-        self.schedule: List[str] = []
-        self.schedule_hash: Optional[str] = None
 
     # -- setup ---------------------------------------------------------------
 
@@ -194,7 +167,7 @@ class CrashChaosSim:
         """One client: open a session, run its transactions, close."""
         config = self.config
         connection = self.connections[index]
-        rng = random.Random(config.seed * 1_000_003 + index)
+        rng = client_rng(config.seed, index)
         yield from self._guarded(index, connection.open_session, "open")
         txn = 0
         while txn < config.txns_per_client:
@@ -330,68 +303,10 @@ class CrashChaosSim:
             yield "reconcile"
             return len(result.rows) > 0
 
-    # -- run -----------------------------------------------------------------
-
-    def run(self) -> Dict[str, Any]:
-        """Drive all clients to completion and return the audited report."""
-        generators = {
-            index: self._client(index)
-            for index in range(self.config.clients)
-        }
-        scheduler = random.Random(self.config.seed)
-        steps = 0
-        while generators:
-            if self.server.crashed:
-                self.server.restart()
-                self.restarts += 1
-                self._note_recovery()
-                self.schedule.append(f"{steps}:restart")
-            alive = sorted(generators)
-            index = alive[scheduler.randrange(len(alive))]
-            try:
-                label = next(generators[index])
-            except StopIteration:
-                del generators[index]
-                label = "done"
-            self.schedule.append(f"{steps}:{index}:{label}")
-            steps += 1
-            if steps >= self.MAX_STEPS:
-                raise RuntimeError(
-                    f"crash sim exceeded {self.MAX_STEPS} steps (livelock?)"
-                )
-        if self.server.crashed:
-            # The crash fired on the run's very last append.
-            self.server.restart()
-            self.restarts += 1
-            self._note_recovery()
-            self.schedule.append(f"{steps}:restart")
-        self.schedule_hash = hashlib.sha256(
-            "\n".join(self.schedule).encode()
-        ).hexdigest()
-        return self._report()
-
-    def _note_recovery(self) -> None:
-        if self.crash_recovery is not None:
-            return
-        last = self.durability.last_report
-        if last is None:
-            return
-        self.crash_recovery = self._scrub_recovery(last.as_dict(), len(last.hwm))
-
-    @staticmethod
-    def _scrub_recovery(
-        recovery: Dict[str, Any], hwm_clients: int
-    ) -> Dict[str, Any]:
-        # Wire client ids are allocated from a process-global counter, so
-        # the high-water-mark map would differ between two in-process
-        # runs of the same configuration; report only its cardinality.
-        recovery.pop("hwm", None)
-        recovery["hwm_clients"] = hwm_clients
-        return recovery
-
-    # -- audit ---------------------------------------------------------------
+    # -- run and audit -------------------------------------------------------
 
     def _state(self) -> Tuple[List[int], List[Tuple[int, int]], int]:
+        # The server's database, not the World's: a restart replaces it.
         database = self.server.database
         tokens = sorted(
             int(row[0])
@@ -405,7 +320,12 @@ class CrashChaosSim:
         )
         return tokens, counters, sum(value for __, value in counters)
 
-    def _report(self) -> Dict[str, Any]:
+    def run(self) -> Dict[str, Any]:
+        """Drive all clients to completion and return the audited report."""
+        schedule = self.interleave(
+            {index: self._client(index) for index in range(self.config.clients)},
+            self.config.seed,
+        )
         tokens, counters, counter_sum = self._state()
         acked = sorted(
             token for tokens_ in self.acked.values() for token in tokens_
@@ -417,18 +337,13 @@ class CrashChaosSim:
         self.server.restart()
         tokens_after, counters_after, __ = self._state()
         fixpoint = tokens_after == tokens and counters_after == counters
-        last = self.durability.last_report
-        recovery: Dict[str, Any] = (
-            {}
-            if last is None
-            else self._scrub_recovery(last.as_dict(), len(last.hwm))
-        )
+        assert self.durability is not None
         wal = self.durability.wal
-        report: Dict[str, Any] = {
+        return {
             "config": asdict(self.config),
-            "schedule": {"steps": len(self.schedule), "hash": self.schedule_hash},
+            "schedule": {"steps": len(schedule.log), "hash": schedule.hash},
             "counts": dict(self.counts),
-            "restarts": self.restarts,
+            "restarts": schedule.restarts,
             "acked_txns": len(acked),
             "applied_txns": len(tokens),
             "counter_sum": counter_sum,
@@ -438,14 +353,14 @@ class CrashChaosSim:
             "crash": {
                 "configured_at_append": self.config.crash_at_append,
                 "failure": self.config.failure,
-                "occurred": self.restarts > 0,
+                "occurred": schedule.restarts > 0,
             },
             "disk": {
                 "total_appends": self.disk.total_appends,
                 "size_bytes": self.disk.size,
             },
-            "crash_recovery": self.crash_recovery or {},
-            "final_recovery": recovery,
+            "crash_recovery": _recovery_json(schedule.recovery),
+            "final_recovery": _recovery_json(self.durability.last_report),
             "wal": dict(wal.statistics) if wal is not None else {},
             "server": {
                 key: self.server.statistics[key]
@@ -460,12 +375,18 @@ class CrashChaosSim:
             "sessions": dict(self.sessions.statistics),
             "locks": dict(self.locks.statistics),
         }
-        return report
 
 
-def report_json(report: Dict[str, Any]) -> str:
-    """Canonical JSON rendering (byte-comparable across runs)."""
-    return json.dumps(report, sort_keys=True, indent=2)
+def _recovery_json(report: Optional[RecoveryReport]) -> Dict[str, Any]:
+    if report is None:
+        return {}
+    recovery = report.as_dict()
+    # Wire client ids are allocated from a process-global counter, so
+    # the high-water-mark map would differ between two in-process runs
+    # of the same configuration; report only its cardinality.
+    recovery.pop("hwm")
+    recovery["hwm_clients"] = len(report.hwm)
+    return recovery
 
 
 def run_crash_chaos(config: CrashConfig) -> Dict[str, Any]:

@@ -1,22 +1,4 @@
-"""Deterministic contention simulator: N clients, one server, one clock.
-
-The server is single-threaded, so true parallelism is neither possible
-nor needed — what matters for contention is the *interleaving* of
-statements from different sessions.  Each simulated client is a Python
-generator that performs exactly one wire operation (or one retry of a
-parked statement) per resumption and then yields; a seeded scheduler
-picks which client to resume next.  All clients share one
-:class:`~repro.network.clock.SimulatedClock` through their own
-:class:`~repro.network.link.NetworkLink`s, so every round trip, lock
-wait and backoff advances the same timeline.
-
-Determinism: the schedule is a pure function of the seed (a
-``random.Random(seed)`` drives both the scheduler and each client's
-workload choices through derived per-client seeds), the clock is
-simulated, and the report deliberately excludes values that vary from
-run to run inside one process (such as globally allocated wire client
-ids).  Two runs with the same configuration produce byte-identical
-reports — the schedule hash makes that checkable at a glance.
+"""Contention workload: N clients racing on shared PDM data under 2PL.
 
 The workload mixes the paper's three access patterns:
 
@@ -41,19 +23,17 @@ increments plus an assembly-row update per transaction).  Run with
 ``mvcc=False`` the auditors acquire S locks and fight the writers; with
 ``mvcc=True`` they read a snapshot and never wait — the same seed, the
 same wire traffic, directly comparable reports.
+
+The report deliberately excludes values that vary from run to run
+inside one process (such as globally allocated wire client ids).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.concurrency.locks import LockManager
-from repro.concurrency.sessions import SessionManager
 from repro.errors import (
     CheckOutError,
     ConcurrencyError,
@@ -62,14 +42,14 @@ from repro.errors import (
     LockUnavailable,
 )
 from repro.model.parameters import TreeParameters
-from repro.network.clock import SimulatedClock
-from repro.network.link import NetworkLink
+from repro.pdm.generator import generate_product
+from repro.pdm.schema import (
+    create_pdm_schema,
+    install_checkout_procedures,
+    load_product,
+)
+from repro.sim.harness import World, client_rng, exact_percentile
 from repro.sqldb.database import Database
-
-# The server and PDM layers are imported inside ContentionSim.__init__:
-# they (transitively) import repro.analysis, which imports this package
-# for the shared lock-footprint model — a module-level import here would
-# close that cycle.
 
 #: Recursive subtree expansion (the paper's expand-all action).
 _EXPAND_SQL = """
@@ -88,6 +68,9 @@ _INCREMENT_SQL = "UPDATE counters SET value = value + 1 WHERE id = ?"
 #: ECO write burst touches product structure too, so it collides with
 #: the auditors' subtree expands, not just with the counter audit.
 _ECO_SQL = "UPDATE assy SET name = ? WHERE obid = ?"
+
+#: (SQL, parameters, schedule label) of one statement in a transaction.
+Statement = Tuple[str, List[Any], str]
 
 
 def workload_scripts() -> List[Tuple[str, str, bool]]:
@@ -158,44 +141,13 @@ class ContentionConfig:
             raise ConcurrencyError("mix weights must be non-negative, sum > 0")
 
 
-def exact_percentile(sorted_values: List[float], q: float) -> Optional[float]:
-    """Exact linear-interpolation percentile of pre-sorted data."""
-    if not sorted_values:
-        return None
-    position = q * (len(sorted_values) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return sorted_values[lower]
-    fraction = position - lower
-    return (
-        sorted_values[lower] * (1.0 - fraction)
-        + sorted_values[upper] * fraction
-    )
-
-
-class ContentionSim:
+class ContentionSim(World):
     """Build, run and report one seeded contention experiment."""
 
-    #: Scheduler-step ceiling — generous (a client op is a handful of
-    #: steps even with retries); hitting it means livelock, a bug.
-    MAX_STEPS = 200_000
-
     def __init__(self, config: ContentionConfig) -> None:
-        # Function-scoped: see the note next to the module imports.
-        from repro.pdm.generator import generate_product
-        from repro.pdm.schema import (
-            create_pdm_schema,
-            install_checkout_procedures,
-            load_product,
-        )
-        from repro.server.client import RemoteConnection
-        from repro.server.server import DatabaseServer
-
         self.config = config
-        self.clock = SimulatedClock()
-        self.database = Database(mvcc=config.mvcc)
-        create_pdm_schema(self.database)
+        database = Database(mvcc=config.mvcc)
+        create_pdm_schema(database)
         product = generate_product(
             TreeParameters(
                 depth=config.tree_depth,
@@ -204,7 +156,7 @@ class ContentionSim:
             ),
             seed=config.seed,
         )
-        load_product(self.database, product)
+        load_product(database, product)
         self.root_obid = product.root_obid
         #: Check-out targets: the product root plus its direct children
         #: (distinct children are disjoint subtrees, so conflicts arise
@@ -214,21 +166,15 @@ class ContentionSim:
             for link in product.links
             if link.left == product.root_obid
         )
-        self.locks = LockManager(
-            clock=self.clock, timeout_s=config.lock_timeout_s
+        super().__init__(
+            database,
+            config.clients,
+            lock_timeout_s=config.lock_timeout_s,
+            latency_s=config.latency_s,
+            dtr_kbit_s=config.dtr_kbit_s,
         )
-        self.sessions = SessionManager(self.database, self.locks)
-        self.server = DatabaseServer(self.database, sessions=self.sessions)
         install_checkout_procedures(self.server)
         self._create_counters()
-        self.connections: List[Any] = []
-        for __ in range(config.clients):
-            link = NetworkLink(
-                latency_s=config.latency_s,
-                dtr_kbit_s=config.dtr_kbit_s,
-                clock=self.clock,
-            )
-            self.connections.append(RemoteConnection(self.server, link))
         self.counts: Dict[str, int] = {
             "expands": 0,
             "audits": 0,
@@ -252,8 +198,6 @@ class ContentionSim:
         #: Latency of each successful multi-level expand statement inside
         #: a READ ONLY audit transaction (includes its lock waits).
         self.expand_latencies: List[float] = []
-        self.schedule: List[str] = []
-        self.schedule_hash: Optional[str] = None
 
     # -- setup ----------------------------------------------------------------
 
@@ -297,7 +241,7 @@ class ContentionSim:
         of a parked statement); the yielded label goes into the schedule
         trace.
         """
-        rng = random.Random(self.config.seed * 1_000_003 + index)
+        rng = client_rng(self.config.seed, index)
         connection = self.connections[index]
         connection.open_session()
         yield "open"
@@ -308,20 +252,16 @@ class ContentionSim:
                 runner = (
                     self._run_audit_txn if auditor else self._run_eco
                 )
-                for label in runner(index, rng):
-                    yield label
+                yield from runner(index, rng)
                 self.latencies.append(self.clock.now - start)
                 continue
             op = self._pick_op(rng)
             if op == "expand":
-                for label in self._run_read(index, rng):
-                    yield label
+                yield from self._run_read(index, rng)
             elif op == "increment":
-                for label in self._run_increment(index, rng):
-                    yield label
+                yield from self._run_increment(index, rng)
             else:
-                for label in self._run_checkout(index, rng):
-                    yield label
+                yield from self._run_checkout(index, rng)
             self.latencies.append(self.clock.now - start)
         connection.close_session()
         yield "close"
@@ -348,8 +288,10 @@ class ContentionSim:
                 self.counts["read_retries"] += 1
                 yield "read-wait"
 
-    def _run_increment(self, index: int, rng: random.Random) -> Iterator[str]:
-        """One wire transaction incrementing two counter rows.
+    def _write_txn(
+        self, index: int, statements: List[Statement]
+    ) -> Iterator[str]:
+        """Run *statements* as one wire write transaction until it commits.
 
         Parked statements are retried patiently (the transaction stays
         open — this is what lets deadlock cycles form); a deadlock or
@@ -357,22 +299,15 @@ class ContentionSim:
         transaction restarted.
         """
         connection = self.connections[index]
-        if (
-            rng.random() < self.config.conflict_rate
-            or self.config.private_counters < 2
-        ):
-            targets = rng.sample(self._hot_ids(), 2)
-        else:
-            targets = rng.sample(self._private_ids(index), 2)
         while True:
             connection.begin()
             yield "begin"
             aborted = False
-            for counter_id in targets:
+            for sql, params, label in statements:
                 while True:
                     try:
-                        connection.execute(_INCREMENT_SQL, [counter_id])
-                        yield "update"
+                        connection.execute(sql, params)
+                        yield label
                         break
                     except LockUnavailable:
                         self.counts["write_retries"] += 1
@@ -393,10 +328,24 @@ class ContentionSim:
                 yield "restart"
                 continue
             connection.commit()
-            self.committed_increments += len(targets)
-            self.counts["increments"] += 1
             yield "commit"
             return
+
+    def _run_increment(self, index: int, rng: random.Random) -> Iterator[str]:
+        """One wire transaction incrementing two counter rows."""
+        if (
+            rng.random() < self.config.conflict_rate
+            or self.config.private_counters < 2
+        ):
+            targets = rng.sample(self._hot_ids(), 2)
+        else:
+            targets = rng.sample(self._private_ids(index), 2)
+        yield from self._write_txn(
+            index,
+            [(_INCREMENT_SQL, [counter_id], "update") for counter_id in targets],
+        )
+        self.committed_increments += len(targets)
+        self.counts["increments"] += 1
 
     def _run_audit_txn(self, index: int, rng: random.Random) -> Iterator[str]:
         """One long READ ONLY audit: a multi-level subtree expand and a
@@ -452,49 +401,19 @@ class ContentionSim:
 
     def _run_eco(self, index: int, rng: random.Random) -> Iterator[str]:
         """One ECO write burst: bump two hot counters and touch one
-        assembly row, all inside one wire transaction.  Same patient
-        retry / deadlock-restart protocol as :meth:`_run_increment`."""
-        connection = self.connections[index]
+        assembly row, all inside one wire transaction."""
         targets = rng.sample(self._hot_ids(), 2)
         part = rng.choice(self.checkout_roots)
-        statements: List[Tuple[str, List[Any], str]] = [
-            (_INCREMENT_SQL, [targets[0]], "update"),
-            (_INCREMENT_SQL, [targets[1]], "update"),
-            (_ECO_SQL, [f"eco-{index}", part], "eco-update"),
-        ]
-        while True:
-            connection.begin()
-            yield "begin"
-            aborted = False
-            for sql, params, label in statements:
-                while True:
-                    try:
-                        connection.execute(sql, params)
-                        yield label
-                        break
-                    except LockUnavailable:
-                        self.counts["write_retries"] += 1
-                        yield "write-wait"
-                    except DeadlockError:
-                        self.counts["deadlock_aborts"] += 1
-                        aborted = True
-                        break
-                    except LockTimeout:
-                        self.counts["timeout_aborts"] += 1
-                        aborted = True
-                        break
-                if aborted:
-                    break
-            if aborted:
-                connection.rollback()
-                self.counts["txn_restarts"] += 1
-                yield "restart"
-                continue
-            connection.commit()
-            self.committed_increments += 2
-            self.counts["eco_commits"] += 1
-            yield "commit"
-            return
+        yield from self._write_txn(
+            index,
+            [
+                (_INCREMENT_SQL, [targets[0]], "update"),
+                (_INCREMENT_SQL, [targets[1]], "update"),
+                (_ECO_SQL, [f"eco-{index}", part], "eco-update"),
+            ],
+        )
+        self.committed_increments += 2
+        self.counts["eco_commits"] += 1
 
     def _run_checkout(self, index: int, rng: random.Random) -> Iterator[str]:
         """Check out a subtree, then check it back in (two procedure
@@ -515,37 +434,14 @@ class ContentionSim:
         self.counts["checkins"] += 1
         yield "checkin"
 
-    # -- scheduler ------------------------------------------------------------
+    # -- run and report -------------------------------------------------------
 
-    def run(self) -> dict:
+    def run(self) -> Dict[str, Any]:
         """Interleave all clients to completion; return the report."""
-        scheduler = random.Random(self.config.seed)
-        generators: Dict[int, Iterator[str]] = {}
-        for index in range(self.config.clients):
-            generators[index] = self._client(index)
-        alive = sorted(generators)
-        steps = 0
-        while alive:
-            if steps >= self.MAX_STEPS:
-                raise ConcurrencyError(
-                    f"scheduler exceeded {self.MAX_STEPS} steps — livelock"
-                )
-            index = alive[scheduler.randrange(len(alive))]
-            try:
-                label = next(generators[index])
-            except StopIteration:
-                alive.remove(index)
-                label = "done"
-            self.schedule.append(f"{steps}:{index}:{label}")
-            steps += 1
-        self.schedule_hash = hashlib.sha256(
-            "\n".join(self.schedule).encode("utf-8")
-        ).hexdigest()
-        return self._report(steps)
-
-    # -- reporting ------------------------------------------------------------
-
-    def _report(self, steps: int) -> dict:
+        schedule = self.interleave(
+            {index: self._client(index) for index in range(self.config.clients)},
+            self.config.seed,
+        )
         actual = int(
             self.database.execute("SELECT SUM(value) FROM counters").scalar()
         )
@@ -558,24 +454,25 @@ class ContentionSim:
             + self.counts["checkout_conflicts"]
             + self.counts["eco_commits"]
         )
-        latencies = sorted(self.latencies)
-        expand_latencies = sorted(self.expand_latencies)
         db_stats = self.database.statistics
         elapsed = self.clock.now
-        report = {
+        return {
             "config": asdict(self.config),
-            "schedule": {"steps": steps, "hash": self.schedule_hash},
+            "schedule": {"steps": schedule.steps, "hash": schedule.hash},
             "totals": dict(self.counts),
             "committed_increments": expected,
             "counter_sum": actual,
             "lost_updates": expected - actual,
             "locks": dict(self.locks.statistics),
             "server": {
-                "lock_waits": self.server.statistics["lock_waits"],
-                "deadlocks": self.server.statistics["deadlocks"],
-                "txn_aborts": self.server.statistics["txn_aborts"],
-                "sessions_open": self.server.statistics["sessions_open"],
-                "readonly_txns": self.server.statistics["readonly_txns"],
+                key: self.server.statistics[key]
+                for key in (
+                    "lock_waits",
+                    "deadlocks",
+                    "txn_aborts",
+                    "sessions_open",
+                    "readonly_txns",
+                )
             },
             "mvcc": {
                 "enabled": self.config.mvcc,
@@ -591,37 +488,20 @@ class ContentionSim:
             },
             "elapsed_s": elapsed,
             "throughput_ops_per_s": ops_done / elapsed if elapsed else 0.0,
-            "latency_s": {
-                "count": len(latencies),
-                "mean": sum(latencies) / len(latencies) if latencies else None,
-                "p50": exact_percentile(latencies, 0.50),
-                "p95": exact_percentile(latencies, 0.95),
-                "p99": exact_percentile(latencies, 0.99),
-                "max": latencies[-1] if latencies else None,
-            },
+            "latency_s": _distribution(self.latencies),
             # Per-statement latency of the READ ONLY auditors' multi-level
             # expands (empty outside the audit_eco scenario).
-            "expand_latency_s": {
-                "count": len(expand_latencies),
-                "mean": (
-                    sum(expand_latencies) / len(expand_latencies)
-                    if expand_latencies
-                    else None
-                ),
-                "p50": exact_percentile(expand_latencies, 0.50),
-                "p95": exact_percentile(expand_latencies, 0.95),
-                "p99": exact_percentile(expand_latencies, 0.99),
-                "max": expand_latencies[-1] if expand_latencies else None,
-            },
+            "expand_latency_s": _distribution(self.expand_latencies),
         }
-        return report
 
 
-def run_contention(config: ContentionConfig) -> dict:
-    """Convenience wrapper: build, run, report."""
-    return ContentionSim(config).run()
-
-
-def report_json(report: dict) -> str:
-    """Canonical (byte-stable) JSON rendering of a report."""
-    return json.dumps(report, sort_keys=True, indent=2)
+def _distribution(values: List[float]) -> Dict[str, Any]:
+    ordered = sorted(values)
+    return {
+        "count": len(ordered),
+        "mean": sum(ordered) / len(ordered) if ordered else None,
+        "p50": exact_percentile(ordered, 0.50),
+        "p95": exact_percentile(ordered, 0.95),
+        "p99": exact_percentile(ordered, 0.99),
+        "max": ordered[-1] if ordered else None,
+    }

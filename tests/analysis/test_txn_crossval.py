@@ -8,8 +8,7 @@ from repro.analysis.txn import (
     analyze_transaction_workload,
     parse_txn_script,
 )
-from repro.concurrency import ContentionConfig, ContentionSim
-from repro.concurrency.sim import workload_scripts
+from repro.sim import ContentionConfig, ContentionSim, workload_scripts
 
 #: Seeds known (and asserted below) to produce at least one deadlock at
 #: this contention level — the cross-validation must not be vacuous.

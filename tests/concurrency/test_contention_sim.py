@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.concurrency import (
+from repro.errors import ConcurrencyError
+from repro.sim import (
     ContentionConfig,
     ContentionSim,
     exact_percentile,
     report_json,
 )
-from repro.errors import ConcurrencyError
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DurabilityError
-from repro.recovery import (
+from repro.sim import (
     CRASH_FAILURES,
     CrashChaosSim,
     CrashConfig,
@@ -96,7 +96,7 @@ class TestSweep:
         )
 
     def test_sweep_raises_on_violation(self, monkeypatch):
-        import repro.recovery.chaos as chaos
+        import repro.sim.chaos as chaos
 
         def broken(config):
             report = CrashChaosSim(config).run()
