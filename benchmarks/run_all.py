@@ -134,7 +134,9 @@ def run_trace(tree, scenario, profile, fault_seed: int) -> dict:
     Returns the :func:`repro.bench.report.trace_summary` dict extended
     with a ``decomposition`` entry proving the observability invariant:
     the component seconds summed over the root span's subtree equal the
-    action's measured response time exactly.
+    action's measured response time exactly, and a ``counters`` entry
+    read from the counters' owners: the server's STATS view plus the
+    client's retries and timeouts on the link.
     """
     from repro.bench.report import trace_summary
     from repro.obs import TraceRecorder
@@ -161,6 +163,11 @@ def run_trace(tree, scenario, profile, fault_seed: int) -> dict:
     component_sum = sum(components.values())
     summary["profile"] = profile.name
     summary["fault_seed"] = fault_seed
+    summary["counters"] = {
+        **traced.server.counters(),
+        "retries": traced.link.stats.retries,
+        "timeouts": traced.link.stats.timeouts,
+    }
     summary["decomposition"] = {
         "action_seconds": result.seconds,
         "root_seconds": root.duration,

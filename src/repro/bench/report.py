@@ -99,8 +99,8 @@ def trace_summary(recorder) -> dict:
 
     Bundles the full span forest, the component decomposition aggregated
     over every root's subtree (which, by construction of the clock
-    observer, sums to the roots' total duration exactly) and the metrics
-    registry snapshot.
+    observer, sums to the roots' total duration exactly) and the
+    histogram snapshot.
     """
     roots = list(recorder.roots)
     components: Dict[str, float] = {}
@@ -127,7 +127,9 @@ def format_trace_summary(summary: dict, max_depth: Optional[int] = None) -> str:
     """Human-readable rendering of a :func:`trace_summary` dict.
 
     ``max_depth`` truncates the span tree (None renders it fully); the
-    component totals and metrics always print in full.
+    component totals and histograms always print in full.  An optional
+    ``counters`` dict (event counts read from their owners, e.g. the
+    server's STATS view) prints its non-zero entries.
     """
     lines = [
         f"trace: {summary['span_count']} span(s), "
@@ -146,7 +148,11 @@ def format_trace_summary(summary: dict, max_depth: Optional[int] = None) -> str:
             lines.append(f"    {name:<14}{seconds:>10.3f}s  {share:5.1f}%")
     if summary["fault_events"]:
         lines.append(f"  fault events: {len(summary['fault_events'])}")
-    counters = summary["metrics"]["counters"]
+    counters = {
+        name: value
+        for name, value in sorted(summary.get("counters", {}).items())
+        if value
+    }
     if counters:
         lines.append("  counters:")
         for name, value in counters.items():

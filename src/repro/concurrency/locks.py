@@ -115,11 +115,9 @@ class LockManager:
         self,
         clock: Optional[Any] = None,
         timeout_s: Optional[float] = None,
-        recorder: Optional[Any] = None,
     ) -> None:
         self.clock = clock
         self.timeout_s = timeout_s
-        self.recorder = recorder
         self._txn_ids = itertools.count(1)
         self._txns: Dict[int, _Txn] = {}
         #: table name -> FIFO list of parked waiters for that table.
@@ -410,8 +408,6 @@ class LockManager:
         )
         waiter = _Waiter(txn_id, resource, mode, now, deadline)
         self._queues.setdefault(resource[0], []).append(waiter)
-        if self.recorder is not None:
-            self.recorder.metrics.counter("locks.parked").inc()
         return waiter
 
     def _cancel_waiters(self, txn_id: int) -> None:

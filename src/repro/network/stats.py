@@ -27,6 +27,11 @@ class TrafficStats:
     (``timeouts``/``timeout_seconds`` for waited-out attempts,
     ``retries`` for re-sent requests, ``backoff_seconds`` for the
     simulated backoff sleeps between them).
+
+    Server-side events (open sessions, lock waits, deadlocks, aborts,
+    READ ONLY transactions) are not mirrored here: the server counts
+    each once and a client reads them over STATS
+    (:meth:`repro.server.client.RemoteConnection.server_stats`).
     """
 
     messages: int = 0
@@ -49,16 +54,6 @@ class TrafficStats:
     timeout_seconds: float = 0.0
     retries: int = 0
     backoff_seconds: float = 0.0
-    #: Session/transaction activity observed by the client driver.
-    #: ``sessions_open`` is a gauge (+1 on OPEN_SESSION, -1 on
-    #: CLOSE_SESSION); the rest are event counters fed by ERROR frames
-    #: the server answered with.
-    sessions_open: int = 0
-    lock_waits: int = 0
-    deadlocks: int = 0
-    txn_aborts: int = 0
-    #: READ ONLY transactions begun through :meth:`RemoteConnection.begin`.
-    readonly_txns: int = 0
     opcode_messages: Dict[str, int] = field(default_factory=dict)
     opcode_payload_bytes: Dict[str, int] = field(default_factory=dict)
 

@@ -8,8 +8,14 @@ nested spans on the :class:`~repro.network.clock.SimulatedClock` (user
 action -> per-level round trips -> link transmissions -> server handling
 -> plan execution), every simulated-clock advance is attributed to a
 named component of the innermost open span, and a small
-:class:`MetricsRegistry` accumulates monotonic counters and fixed-bucket
-histograms (round-trip time, frame size, rows per result).
+:class:`MetricsRegistry` accumulates fixed-bucket histograms (round-trip
+time, frame size, rows per result).
+
+The registry holds distributions only.  Event counts have one home each:
+the ``statistics`` dict of the component that owns the event (database,
+server, WAL, lock manager, session manager) or the link's
+:class:`~repro.network.stats.TrafficStats`; the server's STATS frame is
+one view over them (:meth:`repro.server.server.DatabaseServer.counters`).
 
 Tracing is strictly opt-in: every instrumented layer carries a
 ``recorder`` attribute that defaults to ``None``, and all hooks are
@@ -22,7 +28,6 @@ from repro.obs.metrics import (
     BYTES_BUCKETS,
     ROWS_BUCKETS,
     SECONDS_BUCKETS,
-    Counter,
     Histogram,
     MetricsRegistry,
 )
@@ -32,7 +37,6 @@ __all__ = [
     "BYTES_BUCKETS",
     "ROWS_BUCKETS",
     "SECONDS_BUCKETS",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "Span",

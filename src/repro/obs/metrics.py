@@ -1,9 +1,12 @@
-"""Monotonic counters and fixed-bucket histograms.
+"""Fixed-bucket histograms.
 
 The registry is deliberately tiny — it is simulation instrumentation,
-not a telemetry client.  Counters only go up; histograms have a fixed
-set of upper bucket bounds chosen at creation (plus an implicit overflow
-bucket), so recording an observation is O(buckets) with no allocation.
+not a telemetry client.  It holds only distributions: event counts live
+in the ``statistics`` dict of the component that owns the event (and
+reach clients through the STATS frame), so nothing is counted twice.
+A histogram has a fixed set of upper bucket bounds chosen at creation
+(plus an implicit overflow bucket), so recording an observation is
+O(buckets) with no allocation.
 """
 
 from __future__ import annotations
@@ -41,24 +44,6 @@ BYTES_BUCKETS: Tuple[float, ...] = (
 
 #: Default bucket bounds for result-cardinality histograms.
 ROWS_BUCKETS: Tuple[float, ...] = (0, 1, 4, 16, 64, 256, 1024, 4096)
-
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ReproError(
-                f"counter {self.name!r} cannot decrease (inc by {amount!r})"
-            )
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
 
 
 class Histogram:
@@ -180,17 +165,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Create-or-get registry of counters and histograms."""
+    """Create-or-get registry of histograms."""
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
 
     def histogram(
         self, name: str, bounds: Sequence[float] = SECONDS_BUCKETS
@@ -202,12 +180,8 @@ class MetricsRegistry:
         return histogram
 
     def to_dict(self) -> dict:
-        """JSON-exportable snapshot of every metric."""
+        """JSON-exportable snapshot of every histogram."""
         return {
-            "counters": {
-                name: counter.value
-                for name, counter in sorted(self.counters.items())
-            },
             "histograms": {
                 name: histogram.to_dict()
                 for name, histogram in sorted(self.histograms.items())

@@ -277,20 +277,13 @@ class Durability:
     def __init__(
         self,
         disk: Optional[SimDisk] = None,
-        recorder: Optional[Any] = None,
         db_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.disk = disk if disk is not None else SimDisk()
-        self.recorder = recorder
         self.db_kwargs = dict(db_kwargs or {})
         self.wal: Optional[WalWriter] = None
         self.database: Optional[Database] = None
         self.last_report: Optional[RecoveryReport] = None
-        self.statistics = {
-            "recoveries": 0,
-            "replayed_records": 0,
-            "checkpoints": 0,
-        }
 
     def open(self) -> Database:
         """Open the database: recover whatever the log holds (nothing,
@@ -299,26 +292,6 @@ class Durability:
 
     def recover(self) -> Database:
         """Rebuild the database from the log; see the module docstring."""
-        recorder = self.recorder
-        if recorder is None:
-            return self._recover()
-        with recorder.span("recovery.replay", kind="recovery") as span:
-            database = self._recover()
-            report = self.last_report
-            assert report is not None
-            span.meta["records_scanned"] = report.records_scanned
-            span.meta["replayed_records"] = report.replayed_records
-            span.meta["txns_committed"] = report.txns_committed
-            span.meta["txns_discarded"] = report.txns_discarded
-            span.meta["tail_status"] = report.tail_status
-            recorder.metrics.counter("recovery.recoveries").inc()
-            if report.replayed_records:
-                recorder.metrics.counter("recovery.replayed_records").inc(
-                    report.replayed_records
-                )
-            return database
-
-    def _recover(self) -> Database:
         disk = self.disk
         if disk.crashed:
             disk.reopen()
@@ -330,12 +303,11 @@ class Durability:
         report.tail_status = scan.tail_status
         report.truncated_bytes = len(data) - scan.clean_length
         database = Database(**self.db_kwargs)
-        database.recorder = self.recorder
         hwm = _replay(database, scan.records, report)
         report.hwm = dict(hwm)
         if report.truncated_bytes:
             disk.truncate(scan.clean_length)
-        writer = WalWriter(disk, recorder=self.recorder)
+        writer = WalWriter(disk)
         writer.hwm = dict(hwm)
         if report.txns_discarded:
             writer.fence()
@@ -344,8 +316,6 @@ class Durability:
         self.wal = writer
         self.database = database
         self.last_report = report
-        self.statistics["recoveries"] += 1
-        self.statistics["replayed_records"] += report.replayed_records
         return database
 
     def checkpoint(self) -> None:
@@ -360,4 +330,3 @@ class Durability:
             raise DurabilityError("open() the database before checkpointing")
         snapshot = snapshot_database(self.database, self.wal.hwm)
         self.wal.checkpoint(snapshot)
-        self.statistics["checkpoints"] += 1

@@ -234,7 +234,6 @@ class RemoteConnection:
                     self.recorder.event(
                         "rpc.retry", attempt=attempt + 1, backoff_s=pause
                     )
-                    self.recorder.metrics.counter("client.retries").inc()
                 clock.advance(pause, "backoff")
             deadline = clock.now + policy.timeout_s
             try:
@@ -246,7 +245,6 @@ class RemoteConnection:
                     self.recorder.event(
                         "rpc.timeout", attempt=attempt + 1, reason=str(dropped)
                     )
-                    self.recorder.metrics.counter("client.timeouts").inc()
                 if clock.now < deadline:
                     stats.timeout_seconds += deadline - clock.now
                     clock.advance(deadline - clock.now, "timeout")
@@ -349,7 +347,7 @@ class RemoteConnection:
         return results
 
     def server_stats(self) -> Dict[str, Any]:
-        """Fetch the server's counter dictionary (one round trip).
+        """Fetch :meth:`DatabaseServer.counters` (one round trip).
 
         Includes every database-level counter prefixed ``db_``:
         ``db_statements``, ``db_plan_cache_hits`` and ``db_rows_returned``
@@ -406,7 +404,6 @@ class RemoteConnection:
         self._ensure_open()
         self._session_op(Opcode.OPEN_SESSION, Opcode.SESSION_RESULT)
         self._session_open = True
-        self.link.stats.sessions_open += 1
 
     def close_session(self) -> None:
         """Close the server session (rolls back any open transaction)."""
@@ -414,7 +411,6 @@ class RemoteConnection:
         self._session_op(Opcode.CLOSE_SESSION, Opcode.SESSION_RESULT)
         self._session_open = False
         self._txn_open = False
-        self.link.stats.sessions_open -= 1
 
     def mark_session_lost(self) -> None:
         """Forget client-side session state after the server dropped it.
@@ -441,8 +437,6 @@ class RemoteConnection:
         opcode = Opcode.TXN_BEGIN_RO if read_only else Opcode.TXN_BEGIN
         values = self._session_op(opcode, Opcode.TXN_RESULT)
         self._txn_open = True
-        if read_only:
-            self.link.stats.readonly_txns += 1
         return int(values[1])
 
     def commit(self) -> None:
@@ -471,7 +465,6 @@ class RemoteConnection:
         self._ensure_open()
         self._session_op(Opcode.TXN_ROLLBACK, Opcode.TXN_RESULT)
         self._txn_open = False
-        self.link.stats.txn_aborts += 1
 
     def transaction(self) -> "_RemoteTransaction":
         """Context manager mirroring :meth:`Database.transaction`:
@@ -562,10 +555,6 @@ class RemoteConnection:
         kind, message = protocol.decode_error(body)
         error_type = _ERROR_TYPES.get(kind)
         if error_type is not None:
-            if error_type is LockUnavailable:
-                self.link.stats.lock_waits += 1
-            elif error_type is DeadlockError:
-                self.link.stats.deadlocks += 1
             return error_type(message)
         if kind.endswith("Error") and kind in (
             "ParseError",

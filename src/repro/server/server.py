@@ -139,7 +139,6 @@ class DatabaseServer:
             "crc_rejects": 0,
             "lint_checks": 0,
             "lint_rejections": 0,
-            "sessions_open": 0,
             "lock_waits": 0,
             "deadlocks": 0,
             "txn_aborts": 0,
@@ -380,8 +379,6 @@ class DatabaseServer:
                 replay_hit=True,
             ):
                 pass
-            if recorder is not None:
-                recorder.metrics.counter("server.replay_hits").inc()
             return cached
         wal = self.database.wal
         if wal is not None and 0 < seq <= wal.hwm.get(client_id, 0):
@@ -495,13 +492,10 @@ class DatabaseServer:
         self.statistics["crashes"] += 1
         if self.sessions is not None:
             self.sessions.evict_all()
-            self.statistics["sessions_open"] = 0
         if self.database.locks is not None:
             self.database.locks.reset()
         self._replay_cache.clear()
         self._lint_cache.clear()
-        if self.recorder is not None:
-            self.recorder.metrics.counter("server.crashes").inc()
 
     def restart(self) -> Database:
         """Recover the database from the write-ahead log and come back up.
@@ -576,13 +570,11 @@ class DatabaseServer:
         client_id = protocol.decode_session_op(body)
         if opcode is Opcode.OPEN_SESSION:
             self.sessions.open(client_id)
-            self.statistics["sessions_open"] = self.sessions.open_count
             return protocol.encode_envelope(
                 Opcode.SESSION_RESULT, protocol.encode_values(["open", client_id])
             )
         if opcode is Opcode.CLOSE_SESSION:
             self.sessions.close(client_id)
-            self.statistics["sessions_open"] = self.sessions.open_count
             return protocol.encode_envelope(
                 Opcode.SESSION_RESULT, protocol.encode_values(["closed", client_id])
             )
@@ -667,26 +659,34 @@ class DatabaseServer:
             Opcode.BATCH_RESULT, protocol.encode_batch_result(entries)
         )
 
-    def _handle_stats(self, body: bytes) -> bytes:
-        """Report server- and database-level counters in one round trip.
+    def counters(self) -> Dict[str, Any]:
+        """One flat view of the counters the STATS frame reports.
 
-        The database counters (statements, plan-cache hits, rows returned)
-        are the ones the plan cache's efficacy shows up in; exposing them
-        over the wire lets a bench harness read them without reaching into
-        the server process.
+        Each value is read from the ``statistics`` of the component that
+        owns the event: the server's own keys, the database's as
+        ``db_*``, the write-ahead log's appends/commits/aborts as
+        ``wal_*``, and ``sessions_open`` from the session manager (0
+        without one).  Nothing here is a copy that could go stale.
         """
-        if body:
-            raise ProtocolError("STATS request carries no body")
-        counters = dict(self.statistics)
+        counters: Dict[str, Any] = dict(self.statistics)
         for name, value in self.database.statistics.items():
             counters[f"db_{name}"] = value
         wal = self.database.wal
         if wal is not None:
-            counters["wal_appends"] = wal.statistics["appends"]
-            counters["wal_commits"] = wal.statistics["commits"]
-            counters["wal_aborts"] = wal.statistics["aborts"]
+            for name in ("appends", "commits", "aborts"):
+                counters[f"wal_{name}"] = wal.statistics[name]
+        counters["sessions_open"] = (
+            self.sessions.open_count if self.sessions is not None else 0
+        )
+        return counters
+
+    def _handle_stats(self, body: bytes) -> bytes:
+        """Report :meth:`counters` in one round trip, so a bench harness
+        reads them without reaching into the server process."""
+        if body:
+            raise ProtocolError("STATS request carries no body")
         return protocol.encode_envelope(
-            Opcode.STATS_RESULT, protocol.encode_stats(counters)
+            Opcode.STATS_RESULT, protocol.encode_stats(self.counters())
         )
 
     def _handle_procedure(self, body: bytes) -> bytes:

@@ -455,6 +455,7 @@ class ContentionSim(World):
             + self.counts["eco_commits"]
         )
         db_stats = self.database.statistics
+        server_counters = self.server.counters()
         elapsed = self.clock.now
         return {
             "config": asdict(self.config),
@@ -465,7 +466,7 @@ class ContentionSim(World):
             "lost_updates": expected - actual,
             "locks": dict(self.locks.statistics),
             "server": {
-                key: self.server.statistics[key]
+                key: server_counters[key]
                 for key in (
                     "lock_waits",
                     "deadlocks",

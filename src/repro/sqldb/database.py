@@ -360,8 +360,6 @@ class Database:
         txn = _Transaction(txn_id, read_only=read_only)
         if read_only:
             self.statistics["readonly_txns"] += 1
-            if self.recorder is not None:
-                self.recorder.metrics.counter("db.readonly_txns").inc()
             if self.mvcc is not None:
                 txn.snapshot = self.mvcc.open_snapshot()
         self._transactions[session] = txn
@@ -683,8 +681,6 @@ class Database:
         """
         if self._current_snapshot() is not None:
             self.statistics["snapshot_reads"] += 1
-            if self.recorder is not None:
-                self.recorder.metrics.counter("db.snapshot_reads").inc()
             yield
             return
         with self._lock_scope() as (owner, parkable):

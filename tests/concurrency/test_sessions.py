@@ -174,6 +174,23 @@ class TestWireSessions:
         assert "deadlocks" in stats
         assert "txn_aborts" in stats
 
+    def test_stats_sessions_open_drops_on_eviction(self, db):
+        __, sessions, (one, other) = make_stack(db)
+        one.open_session()
+        other.open_session()
+        sessions.evict(one.client_id)
+        assert sessions.open_count == 1
+        assert other.server_stats()["sessions_open"] == 1
+
+    def test_stats_without_session_manager_reads_zero_open(self, db):
+        server = DatabaseServer(db)  # no session manager
+        conn = RemoteConnection(
+            server, NetworkLink(latency_s=0.01, dtr_kbit_s=512)
+        )
+        stats = conn.server_stats()
+        assert stats["sessions_open"] == 0
+        assert stats == server.counters()
+
     def test_close_unknown_session_raises(self, db):
         __, sessions, __connections = make_stack(db)
         with pytest.raises(SessionError):
@@ -314,17 +331,23 @@ class TestConflicts:
         assert second.execute("SELECT SUM(balance) FROM acct").scalar() == 200
 
     def test_client_link_stats_track_conflicts(self, db):
+        """The conflicts a client runs into are counted once, by the
+        server, and read back over STATS."""
         __, __sessions, (first, second) = make_stack(db)
         first.begin()
         first.execute("UPDATE acct SET balance = 0 WHERE id = 1")
         second.begin()
         with pytest.raises(LockUnavailable):
             second.execute("UPDATE acct SET balance = 1 WHERE id = 1")
-        assert second.link.stats.lock_waits == 1
-        assert second.link.stats.sessions_open == 1
+        stats = second.server_stats()
+        assert stats["lock_waits"] == 1
+        assert stats["sessions_open"] == 2
+        assert stats["txn_aborts"] == 0
         first.commit()
         second.rollback()
-        assert second.link.stats.txn_aborts == 1
+        stats = second.server_stats()
+        assert stats["txn_aborts"] == 1
+        assert stats["deadlocks"] == 0
 
 
 class TestReadOnlyWire:
@@ -355,8 +378,10 @@ class TestReadOnlyWire:
             "SELECT balance FROM acct WHERE id = 1"
         ).scalar() == 0
         reader.commit()
-        assert server.statistics["readonly_txns"] == 2
-        assert reader.link.stats.readonly_txns == 2
+        stats = reader.server_stats()
+        assert stats["readonly_txns"] == 2
+        assert stats["db_readonly_txns"] == 2
+        assert stats["db_snapshot_reads"] == 2
 
     def test_dml_inside_ro_txn_rejected_over_wire(self, mvcc_db):
         __, __sessions, (conn, __other) = make_stack(mvcc_db)

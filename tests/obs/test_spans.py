@@ -108,10 +108,10 @@ class TestSpanTree:
     def test_reset_drops_everything(self, recorder, clock):
         with recorder.span("s"):
             clock.advance(1.0)
-        recorder.metrics.counter("c").inc()
+        recorder.metrics.histogram("h").observe(0.5)
         recorder.reset()
         assert recorder.roots == []
-        assert recorder.metrics.counters == {}
+        assert recorder.metrics.histograms == {}
 
 
 class TestMaybeSpan:
@@ -146,7 +146,9 @@ class TestInstrumentStack:
 
 
 class TestMvccMetrics:
-    def test_readonly_txn_counters_reach_the_recorder(self, recorder):
+    def test_traced_readonly_txn_counts_in_db_statistics(self, recorder):
+        """A recorder changes no count: the READ ONLY transaction and its
+        snapshot read are counted once, in the database's statistics."""
         from repro.sqldb import Database
 
         db = Database(mvcc=True)
@@ -156,5 +158,26 @@ class TestMvccMetrics:
         db.execute("BEGIN TRANSACTION READ ONLY", session="r")
         db.execute("SELECT v FROM t WHERE id = 1", session="r")
         db.execute("COMMIT", session="r")
-        assert recorder.metrics.counter("db.readonly_txns").value == 1
-        assert recorder.metrics.counter("db.snapshot_reads").value >= 1
+        assert db.statistics["readonly_txns"] == 1
+        assert db.statistics["snapshot_reads"] == 1
+        assert recorder.metrics.to_dict() == {"histograms": {}}
+
+
+class TestTraceSummary:
+    def test_counters_block_prints_nonzero_owner_counts(self, recorder, clock):
+        from repro.bench.report import format_trace_summary, trace_summary
+
+        with recorder.span("s"):
+            clock.advance(1.0, "latency")
+        recorder.metrics.histogram("h").observe(0.5)
+        summary = trace_summary(recorder)
+        assert list(summary["metrics"]) == ["histograms"]
+        summary["counters"] = {"timeouts": 1, "errors": 0, "retries": 2}
+        text = format_trace_summary(summary)
+        block = text.split("  counters:\n")[1].split("  histograms:")[0]
+        assert block == "    retries = 2\n    timeouts = 1\n"
+
+    def test_no_counters_block_without_counts(self, recorder):
+        from repro.bench.report import format_trace_summary, trace_summary
+
+        assert "counters:" not in format_trace_summary(trace_summary(recorder))

@@ -109,6 +109,9 @@ class TestRestart:
             "SELECT balance FROM acct WHERE id = 1"
         ).scalar() == 42
         assert server.statistics["recoveries"] == 1
+        replayed = server.durability.last_report.replayed_records
+        assert replayed > 0
+        assert server.statistics["replayed_records"] == replayed
 
     def test_in_flight_transaction_dies_with_the_crash(self):
         server, __, (a, b) = make_stack()
